@@ -6,9 +6,9 @@ workload, then reload the stored publication and serve the workload
 from it — for a sweep of β values, two ways:
 
 * **cold** — the pre-facade sequence: each layer is invoked directly
-  through its module API with every process-global cache cleared before
-  the call, the way the chain actually executes when each step is a
-  separate tool invocation (CLI run, audit script, publish script,
+  through its module API without a cache, so nothing survives from one
+  call to the next — the way the chain actually executes when each step
+  is a separate tool invocation (CLI run, audit script, publish script,
   serving process) over the four disjoint layer APIs.  Every step
   re-derives the per-table artifacts the previous step already had:
   Hilbert keys per run, the publication view twice per β (audit, then
@@ -47,10 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
-import repro.query.evaluate as evaluate_module
 from _obs import telemetry_block
 from repro.api import Dataset
-from repro.audit import clear_view_cache
 from repro.audit.evaluate import _audit_publications
 from repro.dataset import CENSUS_QI_ORDER, make_census
 from repro.engine import run as engine_run
@@ -65,16 +63,8 @@ THETA = 0.1
 QUERY_SEED = 13
 
 
-def clear_global_caches() -> None:
-    """Reset every process-global layer cache (fresh-process semantics)."""
-    evaluate_module._ENGINES.clear()
-    evaluate_module._PRECISE.clear()
-    evaluate_module._ENCODED.clear()
-    clear_view_cache()
-
-
 def run_cold(table, queries, root) -> tuple[dict, dict]:
-    """The layer-by-layer chain with cold caches at every step."""
+    """The layer-by-layer chain; cache-less calls build cold at every step."""
     store = PublicationStore(root)
     outputs: dict[str, dict] = {}
     seconds = {
@@ -84,13 +74,11 @@ def run_cold(table, queries, root) -> tuple[dict, dict]:
     for beta in BETAS:
         out: dict = {}
 
-        clear_global_caches()
         start = time.perf_counter()
         published = engine_run("burel", table, beta=beta).published
         seconds["anonymize"] += time.perf_counter() - start
         out["digest"] = publication_digest(published)
 
-        clear_global_caches()
         start = time.perf_counter()
         report = _audit_publications(
             table, {"candidate": published}, ordered_emd=True
@@ -99,14 +87,12 @@ def run_cold(table, queries, root) -> tuple[dict, dict]:
         out["privacy"] = dataclasses.asdict(report.privacy)
         out["risk"] = dataclasses.asdict(report.risk)
 
-        clear_global_caches()
         start = time.perf_counter()
         record = store.put(published, requirement={"beta": beta})
         seconds["publish"] += time.perf_counter() - start
         out["pub_id"] = record.pub_id
         out["evidence"] = record.audit
 
-        clear_global_caches()
         start = time.perf_counter()
         profile = _evaluate_workload(
             table, {"candidate": published}, queries
@@ -114,7 +100,6 @@ def run_cold(table, queries, root) -> tuple[dict, dict]:
         seconds["evaluate"] += time.perf_counter() - start
         out["profile"] = dataclasses.asdict(profile)
 
-        clear_global_caches()
         start = time.perf_counter()
         reloaded = store.get(record.pub_id)
         served = _evaluate_workload(
@@ -192,7 +177,6 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as cold_root, \
             tempfile.TemporaryDirectory() as facade_root:
         cold_outputs, cold_seconds = run_cold(table, queries, cold_root)
-        clear_global_caches()
         facade_outputs, facade_seconds, cache_stats = run_facade(
             table, queries, facade_root
         )
@@ -242,7 +226,6 @@ def main() -> None:
     }
 
     def probe(tel):
-        clear_global_caches()
         ds = Dataset(table, telemetry=tel)
         run = ds.anonymize("burel", beta=2.0)
         run.audit(ordered_emd=True)

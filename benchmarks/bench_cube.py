@@ -39,7 +39,7 @@ import numpy as np
 
 from _obs import telemetry_block
 from repro.anonymity import BaselinePublication, anatomize
-from repro.api import Dataset
+from repro.api import ArtifactCache, Dataset
 from repro.core import burel, perturb_table
 from repro.dataset import DEFAULT_QI, make_census
 from repro.query import (
@@ -49,7 +49,6 @@ from repro.query import (
     build_count_cube,
     make_workload,
 )
-from repro.query import evaluate as evaluate_module
 
 LAMBDA = 3
 THETA = 0.1
@@ -65,17 +64,6 @@ CUTOVER_HEURISTIC = (
 )
 
 
-def _clear_caches() -> None:
-    evaluate_module._ENGINES.clear()
-    evaluate_module._PRECISE.clear()
-    evaluate_module._ENCODED.clear()
-
-
-def _drop_cubes(publications) -> None:
-    for published in publications.values():
-        published.__dict__.pop("_count_cube", None)
-
-
 def build_publications(table) -> dict:
     return {
         "perturbed": perturb_table(table, 4.0, rng=np.random.default_rng(29)),
@@ -86,7 +74,7 @@ def build_publications(table) -> dict:
     }
 
 
-def timed_sweep(table, publications, enc, backend, repeats) -> tuple:
+def timed_sweep(table, publications, enc, backend, repeats, cache) -> tuple:
     """Best-of-``repeats`` serve time for one backend; returns
     (estimates, seconds, served-by map of the last run)."""
     best = None
@@ -96,7 +84,7 @@ def timed_sweep(table, publications, enc, backend, repeats) -> tuple:
         served = {}
         start = time.perf_counter()
         estimates = batch_estimates(
-            table, publications, enc, backend=backend, served=served
+            table, publications, enc, cache, backend=backend, served=served
         )
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
@@ -117,7 +105,6 @@ def bench_fallback(queries_count: int) -> dict:
         table.schema, queries_count, 2, THETA, rng=QUERY_SEED
     )
     served: dict[str, str] = {}
-    _clear_caches()
     start = time.perf_counter()
     batch_estimates(
         table, {"baseline": published}, queries,
@@ -164,7 +151,6 @@ def main() -> None:
     # Admission-time cost: cube builds, timed per publication.
     build_seconds: dict[str, float] = {}
     cube_bytes: dict[str, int] = {}
-    _drop_cubes(publications)
     for name, published in publications.items():
         start = time.perf_counter()
         cube = build_count_cube(published)
@@ -177,16 +163,17 @@ def main() -> None:
         published._count_cube = cube
         cube_bytes[name] = cube.nbytes
 
-    # Warm both paths once (mask engine build / first-touch), then time.
-    _clear_caches()
+    # Warm both paths once (mask engine build / first-touch) in one
+    # session cache, then time.
+    cache = ArtifactCache()
     warmup = EncodedWorkload.encode(table.schema, queries[:32])
-    batch_estimates(table, publications, warmup, backend="bitmap")
+    batch_estimates(table, publications, warmup, cache, backend="bitmap")
     bitmap_est, bitmap_seconds, bitmap_served = timed_sweep(
-        table, publications, enc, "bitmap", args.repeats
+        table, publications, enc, "bitmap", args.repeats, cache
     )
-    batch_estimates(table, publications, warmup, backend="cube")
+    batch_estimates(table, publications, warmup, cache, backend="cube")
     cube_est, cube_seconds, cube_served = timed_sweep(
-        table, publications, enc, "cube", args.repeats
+        table, publications, enc, "cube", args.repeats, cache
     )
 
     byte_equal = {}

@@ -8,8 +8,10 @@ two ways:
   ``answer_precise`` and each ``GeneralizedAnswerer`` once per query,
   recomputing precise answers at every β although the workload is
   shared;
-* **batch** — ``evaluate_workload``: one bitmap-indexed precise pass
-  cached across the sweep, chunked batch estimators, shared QI masks.
+* **batch** — one :class:`~repro.api.Dataset` session created inside
+  the timed region, the path ``experiments/fig8.py`` runs: one
+  bitmap-indexed precise pass cached across the sweep, chunked batch
+  estimators, shared QI masks.
 
 Medians must be byte-equal between the paths, and a second section
 checks batch-vs-scalar estimate equality for all four publication
@@ -46,11 +48,9 @@ from repro.query import (
     answer_precise,
     answer_precise_batch,
     batch_estimates,
-    evaluate_workload,
     make_answerer,
     make_workload,
 )
-from repro.query import evaluate as evaluate_module
 
 BETAS = (1.0, 2.0, 3.0, 4.0, 5.0)
 LAMBDA = 3
@@ -62,12 +62,6 @@ GENERALIZATION_JOBS = (
     ("LMondrian", "mondrian", lambda beta: {"kind": "beta", "beta": beta}),
     ("DMondrian", "mondrian", lambda beta: {"kind": "delta", "beta": beta}),
 )
-
-
-def _clear_caches() -> None:
-    evaluate_module._ENGINES.clear()
-    evaluate_module._PRECISE.clear()
-    evaluate_module._ENCODED.clear()
 
 
 def build_publications(table) -> "dict[float, dict[str, object]]":
@@ -108,15 +102,16 @@ def scalar_sweep(table, publications, queries) -> tuple[dict, float]:
 def batch_sweep(table, publications, queries) -> tuple[dict, float, float]:
     """The batched path; returns medians, total and first-point seconds.
 
-    Caches are cleared first, so the total includes building the bitmap
-    index and the one precise pass the remaining sweep points reuse.
+    The session starts empty inside the timed region, so the total
+    includes building the bitmap index and the one precise pass the
+    remaining sweep points reuse.
     """
-    _clear_caches()
     medians: dict[str, list[float]] = {}
     first_point = None
     start = time.perf_counter()
+    ds = Dataset(table)
     for beta in BETAS:
-        profiles = evaluate_workload(table, publications[beta], queries)
+        profiles = ds.evaluate(publications[beta], queries)
         for name, profile in profiles.items():
             medians.setdefault(name, []).append(profile.median)
         if first_point is None:
@@ -145,7 +140,6 @@ def bench_four_formats(table, queries, generalized) -> dict:
         name: make_answerer(published)
         for name, published in publications.items()
     }
-    _clear_caches()
     start = time.perf_counter()
     batched = batch_estimates(table, batch_answerers, queries)
     batch_seconds = time.perf_counter() - start
@@ -214,9 +208,8 @@ def main() -> None:
     start = time.perf_counter()
     precise_scalar = np.array([answer_precise(table, q) for q in queries])
     precise_scalar_seconds = time.perf_counter() - start
-    _clear_caches()
     start = time.perf_counter()
-    precise_batch = answer_precise_batch(table, queries, cache=False)
+    precise_batch = answer_precise_batch(table, queries)
     precise_batch_seconds = time.perf_counter() - start
     assert np.array_equal(precise_scalar, precise_batch)
 

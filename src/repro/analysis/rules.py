@@ -13,6 +13,7 @@ DEPR001   internal callers of warn-once deprecated entry points
 PICKLE001 lambdas/closures submitted to a process pool
 OBS001    direct Tracer()/MetricsRegistry() in library code
 CACHE001  ArtifactCache keys built from object identity (``id(...)``)
+CACHE002  identity-keyed memos (weak registries, ``__dict__`` writes)
 DET001    iteration over sets feeding ordered output
 SUP001    suppression comments without a reason (meta-rule)
 ========= ============================================================
@@ -596,6 +597,101 @@ class Cache001(Rule):
                         "reloads; key by content digest "
                         "(ArtifactCache.publication_key/table_key)",
                     )
+
+
+# ---------------------------------------------------------------------------
+# CACHE002
+# ---------------------------------------------------------------------------
+
+#: Weak registries: memos keyed by object identity.
+_WEAK_MEMOS = (
+    "weakref.WeakKeyDictionary", "weakref.WeakValueDictionary", "weakref.finalize"
+)
+
+
+def _is_instance_dict(expr: ast.expr) -> bool:
+    """``<obj>.__dict__`` or ``getattr(<obj>, "__dict__", ...)``."""
+    if isinstance(expr, ast.Attribute):
+        return expr.attr == "__dict__"
+    return (
+        isinstance(expr, ast.Call)
+        and isinstance(expr.func, ast.Name)
+        and expr.func.id == "getattr"
+        and len(expr.args) >= 2
+        and isinstance(expr.args[1], ast.Constant)
+        and expr.args[1].value == "__dict__"
+    )
+
+
+def _written_mapping(node: ast.AST) -> ast.expr | None:
+    """The mapping ``node`` writes into (``m[k] = v``, ``m[k] += v``,
+    ``m.setdefault(...)``), else None."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.value if node.func.attr == "setdefault" else None
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return None
+    for target in targets:
+        if isinstance(target, ast.Subscript):
+            return target.value
+    return None
+
+
+@register_rule
+class Cache002(Rule):
+    """No identity-keyed memos in library code.
+
+    A session's ArtifactCache is the one place an artifact outlives a
+    call: content-keyed, size-accounted, explicitly invalidated.  Weak
+    registries keyed by object identity, and artifacts stashed in the
+    ``__dict__`` of the table or publication they were built from, are
+    the second regime this repo deleted: no size accounting sees them
+    and an equal-content reload misses them.  Flags
+    ``WeakKeyDictionary``/``WeakValueDictionary``/``finalize`` calls and
+    writes through ``<obj>.__dict__`` (``[k] = v``, ``.setdefault``),
+    including one assignment hop; reads stay allowed.
+    """
+
+    rule_id = "CACHE002"
+    title = "identity-keyed memo outside the artifact cache"
+    scope = LIBRARY
+
+    def check(self, module, project) -> Iterator[Finding]:
+        writes: set[ast.AST] = set()
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Call) and (
+                module.resolve(node.func) in _WEAK_MEMOS
+            ):
+                yield self.finding(
+                    module,
+                    node,
+                    "weak registries are identity-keyed memos; memoize "
+                    "only through the ArtifactCache a caller passes",
+                )
+            mapping = _written_mapping(node)
+            if mapping is not None and _is_instance_dict(mapping):
+                writes.add(node)
+        for fn in module.functions:
+            aliases = {
+                name
+                for name, values in fn.assignments.items()
+                if any(_is_instance_dict(v) for v in values)
+            }
+            for node in ast.walk(fn.node):
+                mapping = _written_mapping(node)
+                if isinstance(mapping, ast.Name) and mapping.id in aliases:
+                    writes.add(node)
+        for node in sorted(writes, key=lambda n: (n.lineno, n.col_offset)):
+            yield self.finding(
+                module,
+                node,
+                "write through an object's __dict__ stashes an artifact "
+                "outside the ArtifactCache; memoize only through the "
+                "cache a caller passes",
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,10 @@ concatenated table, at the cost of the dirty shards alone::
                            name="census", parent=rec0)
         store.versions("census")                  # lineage, parent-first
 
-The :class:`ArtifactCache` replaces the layers' scattered private memos
-(engine ``PreparedTable`` fields, weak-keyed mask engines, id-keyed
-publication views) with one content-digest-keyed store offering size
-accounting and explicit invalidation; see :mod:`repro.api.cache`.
+The :class:`ArtifactCache` is the one place an artifact outlives a call:
+a content-digest-keyed store with size accounting and explicit
+invalidation that every layer memoizes through when it is handed one;
+see :mod:`repro.api.cache`.
 """
 
 from .cache import ARTIFACT_KINDS, ArtifactCache, estimate_nbytes

@@ -1,31 +1,25 @@
 """The cross-layer artifact cache behind the :class:`repro.api.Dataset` facade.
 
-Before PR 5 every layer kept its own private per-table memo — the engine's
-:class:`~repro.engine.batch.PreparedTable` fields, the query layer's
-weak-keyed ``mask_engine`` / precise-answer dicts, the audit layer's
-id-keyed :func:`~repro.audit.view.publication_view` registry.  Three
-problems motivated replacing them with one shared cache:
+The layers memoize only through a cache they are given.  A
+:class:`~repro.api.Dataset`, a :class:`~repro.service.QueryService` and a
+:class:`~repro.parallel.ShardedSession` each own one per session, and the
+free functions of ``repro.query`` and ``repro.audit`` take it as an
+optional ``cache``/``artifacts`` argument; without one they build what
+the call needs and keep nothing once it returns.  A session's
+:class:`ArtifactCache` is therefore the only place an artifact outlives a
+call, and it is shared along the anonymize → audit → certify → publish →
+serve chain, so each layer boundary reuses what the previous layer built.
 
-* **identity keying** — the weak/id registries key on object identity, so
-  an equal-content table or publication reloaded from disk misses and
-  rebuilds every artifact;
-* **invisibility** — nothing reported what was cached, how big it was, or
-  how to drop it;
-* **no sharing** — the anonymize → audit → certify → publish → serve
-  chain crosses layer boundaries, and each boundary recomputed what the
-  previous layer already had.
-
-:class:`ArtifactCache` fixes all three: entries are keyed by **content
-digest** (:func:`repro.io.table_digest` /
+Entries are keyed by **content digest** (:func:`repro.io.table_digest` /
 :func:`repro.io.publication_digest` — the same SHA-256 the publication
-store uses as object id, so store round-trips hit), sizes are accounted
-per entry with an optional LRU byte budget, and invalidation is explicit
-(by artifact kind, by content digest, or wholesale).
+store uses as object id), so an equal-content table or publication
+reloaded from disk hits.  Sizes are accounted per entry with an optional
+LRU byte budget, and invalidation is explicit (by artifact kind, by
+content digest, or wholesale).
 
-The cache is duck-typed from the layers' perspective: ``repro.query``,
-``repro.audit``, ``repro.engine`` and ``repro.service`` accept any object
-with ``get_or_build`` / ``table_key`` / ``publication_key`` and never
-import this module, keeping the dependency graph acyclic.
+The cache is duck-typed from the layers' perspective: they accept any
+object with ``get_or_build`` / ``table_key`` / ``publication_key`` and
+never import this module, keeping the dependency graph acyclic.
 """
 
 from __future__ import annotations
@@ -34,8 +28,9 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Mapping
 
-import numpy as np
-
+from ..anonymity.anatomy import AnatomyTable, BaselinePublication
+from ..core.perturb import PerturbedTable
+from ..dataset.published import GeneralizedTable
 from ..dataset.table import Table
 from ..io import publication_digest, table_digest
 from ..obs import NULL_TELEMETRY, Telemetry
@@ -50,7 +45,6 @@ ARTIFACT_KINDS = (
     "mask_engine",
     "encoded",
     "precise",
-    "answerer",
     "view",
     "shard_run",
     "cube",
@@ -60,18 +54,29 @@ ARTIFACT_KINDS = (
 )
 
 
-def estimate_nbytes(value: Any, _depth: int = 0) -> int:
-    """Approximate heap footprint of an artifact's numpy payload.
+#: What artifacts reference but do not own: the session's table and the
+#: publications built over it.  Charging them per artifact would
+#: multiply-charge the same buffers.
+_REFERENCED = (
+    Table, GeneralizedTable, PerturbedTable, AnatomyTable, BaselinePublication
+)
 
-    Sums ``ndarray.nbytes`` through dicts, sequences and object
-    ``__dict__``s (bounded depth).  :class:`~repro.dataset.table.Table`
-    instances are skipped: artifacts reference the dataset's table, they
-    do not own it, and counting it per artifact would multiply-charge
-    the same buffers.
+
+def estimate_nbytes(value: Any, _depth: int = 0) -> int:
+    """Approximate heap footprint of what an artifact owns.
+
+    An object that reports its own integer ``nbytes`` (arrays, the
+    bitmap index, encoded workloads, count cubes) is charged that;
+    otherwise the sum runs through dicts, sequences and object
+    ``__dict__``s (bounded depth).  Tables and publications are skipped
+    (:data:`_REFERENCED`).
     """
-    if isinstance(value, np.ndarray):
-        return int(value.nbytes)
-    if isinstance(value, Table) or _depth >= 5:
+    if isinstance(value, _REFERENCED):
+        return 0
+    nbytes = getattr(value, "nbytes", None)
+    if isinstance(nbytes, int):
+        return nbytes
+    if _depth >= 5:
         return 0
     if isinstance(value, Mapping):
         return sum(estimate_nbytes(v, _depth + 1) for v in value.values())

@@ -20,7 +20,7 @@ fluently::
 
 Every per-table artifact the layers need — Hilbert keys, SA
 distribution, row→bucket maps, the range-bitmap mask engine, encoded
-workloads, precise answers, publication views, answerers — is computed
+workloads, precise answers, publication views, cubes — is computed
 once into the shared cache, keyed by content digest, and reused across
 layer boundaries: the audit's view feeds the store's certification gate,
 the sweep's Hilbert encoding feeds every run, the evaluation's precise
@@ -515,15 +515,14 @@ class Dataset:
         publications: Mapping[str, object],
         queries: Sequence[CountQuery] | EncodedWorkload,
         *,
-        cache: bool = True,
         backend: str = "auto",
         served: "dict[str, str] | None" = None,
     ) -> "dict[str, ErrorProfile]":
         """Workload error of every publication, via the batched engine.
 
         Byte-identical to :func:`repro.query.evaluate.evaluate_workload`,
-        with precise answers, masks and answerers drawn from (and kept
-        in) the shared artifact cache.  ``publications`` may mix
+        with encoded workloads, masks and precise answers drawn from
+        (and kept in) the shared artifact cache.  ``publications`` may mix
         publication objects, prebuilt answerers and plain callables, and
         may include content-equal reloads from a store (identity with
         this table is not required — content equality is).
@@ -537,7 +536,7 @@ class Dataset:
             "facade.evaluate", publications=len(publications)
         ):
             return _evaluate_workload(
-                self.table, publications, queries, cache=cache,
+                self.table, publications, queries,
                 artifacts=self.cache, backend=backend, served=served,
             )
 
@@ -682,10 +681,9 @@ class AnonymizationRun:
         self,
         queries: Sequence[CountQuery] | EncodedWorkload,
         *,
-        cache: bool = True,
         backend: str = "auto",
     ) -> ErrorProfile:
         """This publication's COUNT-workload error profile."""
         return self.dataset.evaluate(
-            {"run": self.published}, queries, cache=cache, backend=backend
+            {"run": self.published}, queries, backend=backend
         )["run"]

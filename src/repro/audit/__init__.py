@@ -8,9 +8,10 @@ corruption / composition / Naive Bayes / deFinetti attacks — runs as
 matrix operations over one shared :class:`PublicationView` per
 publication instead of per-EC Python loops.
 
-* :func:`publication_view` builds (and memoizes) the view: a validated
-  ``class_of`` row→group map, the group-size vector and the group×SA
-  count matrix, from one ``np.bincount``.
+* :func:`publication_view` builds the view (content-keyed in a
+  session's artifact cache when given one): a validated ``class_of``
+  row→group map, the group-size vector and the group×SA count matrix,
+  from one ``np.bincount``.
 * :mod:`repro.audit.metrics` / :mod:`repro.audit.attacks` are the
   batched kernels, bit/float-identical to the scalar references kept in
   :mod:`repro.metrics` and :mod:`repro.attacks`.
@@ -43,7 +44,7 @@ from .metrics import (
     reidentification_risks,
     risk_profile,
 )
-from .view import PublicationView, clear_view_cache, publication_view
+from .view import PublicationView, publication_view
 
 __all__ = [
     "AUDIT_ATTACKS",
@@ -54,7 +55,6 @@ __all__ = [
     "average_beta",
     "average_l",
     "average_t",
-    "clear_view_cache",
     "composition_attack",
     "corruption_attack",
     "measured_beta",

@@ -7,8 +7,8 @@ publications, and gets back one :class:`AuditReport` per candidate —
 measured privacy under every model (Fig. 4, the §7 table), standard
 disclosure-risk summaries, and whichever of the §2/§6.3/§7 attacks were
 requested — all computed on one shared
-:class:`~repro.audit.view.PublicationView` per publication, cached
-across sweeps.
+:class:`~repro.audit.view.PublicationView` per publication, which a
+session's artifact cache keeps across sweeps.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from ..attacks.definetti import (
 from ..attacks.naive_bayes import AttackResult
 from ..attacks.skewness import GainReport
 from ..dataset.table import Table
+from ..io import table_digest
 from ..metrics.privacy import PrivacyProfile
 from ..metrics.risk import RiskProfile
 from ..rng import coerce_rng
@@ -95,8 +96,8 @@ def _audit_publications(
     Args:
         table: The source microdata every publication must cover.
         publications: Name → publication (:class:`GeneralizedTable` or
-            :class:`AnatomyTable`); each gets one cached view reused by
-            every metric and attack.
+            :class:`AnatomyTable`) or its view; each gets one view
+            reused by every metric and attack.
         attacks: Subset of :data:`AUDIT_ATTACKS` to mount on top of the
             always-computed privacy and risk profiles.
         cache: Optional :class:`repro.api.ArtifactCache`; keys views by
@@ -133,26 +134,22 @@ def _audit_publications(
         rng = coerce_rng(rng, "audit_publications")
     if "similarity" in attacks and similarity_groups is None:
         raise ValueError("the similarity attack needs similarity_groups")
-    other = None
-    if "composition" in attacks:
-        if isinstance(compose_with, str):
-            other = publications[compose_with]
-        elif compose_with is not None:
-            other = compose_with
-        else:
-            raise ValueError("the composition attack needs compose_with")
+    if "composition" in attacks and compose_with is None:
+        raise ValueError("the composition attack needs compose_with")
 
     views = {}
     for name, published in publications.items():
         view = publication_view(published, cache=cache)
-        if view.source is not table and not (
-            cache is not None
-            and cache.table_key(view.source) == cache.table_key(table)
-        ):
+        if view.source is not table and table_digest(
+            view.source
+        ) != table_digest(table):
             raise ValueError(
                 f"publication {name!r} was built over a different table"
             )
         views[name] = view
+    other = compose_with
+    if "composition" in attacks and isinstance(compose_with, str):
+        other = views[compose_with]
 
     reports: dict[str, AuditReport] = {}
     for name, published in publications.items():

@@ -176,8 +176,9 @@ def risk_profile(published, tolerance: float = 0.05) -> RiskProfile:
     """Summarize identity and attribute disclosure risk (batched)."""
     if not 0 < tolerance <= 1:
         raise ValueError("tolerance must be in (0, 1]")
-    reid = reidentification_risks(published)
-    attr = attribute_disclosure_risks(published)
+    view = publication_view(published)
+    reid = reidentification_risks(view)
+    attr = attribute_disclosure_risks(view)
     return RiskProfile(
         max_reid=float(reid.max()),
         mean_reid=float(reid.mean()),

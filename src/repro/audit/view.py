@@ -14,15 +14,15 @@ operation instead of a per-EC Python loop:
   over ``class_of * m + sa``.
 
 Views work for both publication families — :class:`GeneralizedTable`
-equivalence classes and :class:`AnatomyTable` groups — and are memoized
-per publication object (:func:`publication_view`), so a β-sweep that
-measures the same publication under several models builds its matrices
-once.
+equivalence classes and :class:`AnatomyTable` groups.  A session's
+artifact cache keeps them per publication content
+(:func:`publication_view`), so a β-sweep that measures the same
+publication under several models builds its matrices once; callers
+without a cache pass the view itself to every measurement.
 """
 
 from __future__ import annotations
 
-import weakref
 from functools import cached_property
 
 import numpy as np
@@ -140,6 +140,7 @@ def synthesize_view(
     view.boxes = boxes
     view.memo = dict(memo) if memo else {}
     if global_distribution is not None:
+        # reprolint: ignore[CACHE002] -- seeds the view's own cached_property with the full-table P a shard must measure against; no artifact outlives the view
         view.__dict__["global_distribution"] = global_distribution
     return view
 
@@ -183,15 +184,8 @@ def merge_shard_views(
     )
 
 
-# Views are keyed by publication identity: AnatomyTable is an unhashable
-# dataclass, so a WeakKeyDictionary (the query layer's idiom for Table
-# keys) cannot hold it; a finalizer evicts the entry when the
-# publication is collected, which also prevents id-reuse aliasing.
-_VIEWS: dict[int, PublicationView] = {}
-
-
 def publication_view(publication, cache=None) -> PublicationView:
-    """The memoized :class:`PublicationView` for ``publication``.
+    """The :class:`PublicationView` for ``publication``.
 
     Args:
         publication: A group-based publication (or a view, passed
@@ -201,27 +195,11 @@ def publication_view(publication, cache=None) -> PublicationView:
             the same SHA-256 the publication store uses as object id —
             so an equal-content publication reloaded from a store reuses
             the already-built matrices (and their per-metric memo).
-            Without it, the legacy id-keyed registry below is used,
-            which misses on reloads.
+            Without it, a new view is built.
     """
     if isinstance(publication, PublicationView):
         return publication
-    if cache is not None:
-        key = ("view", cache.publication_key(publication))
-        return cache.get_or_build(key, lambda: PublicationView(publication))
-    # Deliberately NOT a cache key: the id-keyed registry is the
-    # legacy weak memo (finalizer-evicted, misses on reloads by
-    # design); named distinctly from the content-digest `key` above so
-    # the two paths cannot be conflated.
-    memo_key = id(publication)
-    view = _VIEWS.get(memo_key)
-    if view is None:
-        view = PublicationView(publication)
-        _VIEWS[memo_key] = view
-        weakref.finalize(publication, _VIEWS.pop, memo_key, None)
-    return view
-
-
-def clear_view_cache() -> None:
-    """Drop all memoized views (benchmarks time cold builds)."""
-    _VIEWS.clear()
+    if cache is None:
+        return PublicationView(publication)
+    key = ("view", cache.publication_key(publication))
+    return cache.get_or_build(key, lambda: PublicationView(publication))

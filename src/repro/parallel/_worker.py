@@ -48,7 +48,7 @@ _SHARDS: dict = {}
 #: content digest -> (publication, answerer) for the serving path
 _PUBS: dict = {}
 
-#: lazily created process-local ArtifactCache (indexes, answerers, ...)
+#: lazily created process-local ArtifactCache (mask engines, cubes, ...)
 _CACHE = None
 
 
@@ -250,8 +250,9 @@ def shard_evaluate(
 
     Ranges partition by rows, so per-query precise counts and estimator
     sums are additive across shards; the parent folds them in shard
-    order.  Masks, indexes and answerers come from the process-local
-    artifact cache, keyed by the shard table's content digest.
+    order.  Mask engines and encoded workloads come from the
+    process-local artifact cache, keyed by the shard table's content
+    digest.
     """
     from ..obs import coerce_telemetry
 

@@ -148,47 +148,30 @@ def batch_aggregate_precise(
 def _table_measure_cube(table, measure_dim, artifacts, backend):
     """Measure-sum table cube under the same semantics as
     :func:`repro.query.evaluate.table_count_cube`."""
-    if backend == "bitmap":
+    if backend == "bitmap" or (backend == "auto" and artifacts is None):
         return None
-    if artifacts is not None:
-        key = ("cube_measure_table", artifacts.table_key(table), measure_dim)
-        if backend == "auto":
-            return artifacts.get(key)
-        return artifacts.get_or_build(
-            key, lambda: build_table_measure_cube(table, measure_dim)
-        )
-    memo = table.__dict__.setdefault("_measure_table_cubes", {})
-    if measure_dim in memo:
-        return memo[measure_dim]
+    if artifacts is None:
+        return build_table_measure_cube(table, measure_dim)
+    key = ("cube_measure_table", artifacts.table_key(table), measure_dim)
     if backend == "auto":
-        return None
-    cube = build_table_measure_cube(table, measure_dim)
-    memo[measure_dim] = cube
-    return cube
+        return artifacts.get(key)
+    return artifacts.get_or_build(
+        key, lambda: build_table_measure_cube(table, measure_dim)
+    )
 
 
 def _measure_cube(published, measure_dim, artifacts, backend):
     """Per-publication measure cube (``("cube_measure", digest, dim)``)."""
-    if backend == "bitmap":
+    if backend == "bitmap" or (backend == "auto" and artifacts is None):
         return None
-    memo = getattr(published, "__dict__", None)
-    if memo is not None:
-        cached = memo.get("_measure_cubes")
-        if cached is not None and measure_dim in cached:
-            return cached[measure_dim]
-    if artifacts is not None:
-        key = ("cube_measure", artifacts.publication_key(published), measure_dim)
-        if backend == "auto":
-            return artifacts.get(key)
-        return artifacts.get_or_build(
-            key, lambda: build_measure_cube(published, measure_dim)
-        )
+    if artifacts is None:
+        return build_measure_cube(published, measure_dim)
+    key = ("cube_measure", artifacts.publication_key(published), measure_dim)
     if backend == "auto":
-        return None
-    cube = build_measure_cube(published, measure_dim)
-    if memo is not None:
-        memo.setdefault("_measure_cubes", {})[measure_dim] = cube
-    return cube
+        return artifacts.get(key)
+    return artifacts.get_or_build(
+        key, lambda: build_measure_cube(published, measure_dim)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -334,13 +317,12 @@ def batch_aggregate_estimates(
     check_aggregate_op(op)
     enc = _encoded(table, queries, artifacts)
     answerers = {
-        name: _coerce_answerer(value, artifacts)
-        for name, value in publications.items()
+        name: _coerce_answerer(value) for name, value in publications.items()
     }
     for name, answerer in answerers.items():
         source = _source_of(answerer)
         if source is not None:
-            _check_source(name, source, table, artifacts)
+            _check_source(name, source, table)
     if served is None:
         served = {}
     sums: dict[str, np.ndarray] = {}

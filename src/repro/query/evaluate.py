@@ -17,9 +17,11 @@ whole workload as array operations:
 * every estimator answering the same workload shares that one QI-mask
   source instead of recomputing masks per query
   (:func:`batch_estimates`);
-* precise answers are cached per (table, workload), so sweep points
-  that reuse a workload (Fig. 8(b)'s β sweep, Fig. 9(b)) pay for them
-  once (:func:`answer_precise_batch`).
+* given a session's :class:`~repro.api.ArtifactCache` (``artifacts=``),
+  the encoded workload, the mask engine and the precise answers are
+  content-keyed there, so sweep points that reuse a workload (Fig. 8(b)'s
+  β sweep, Fig. 9(b)) pay for them once; without one, nothing outlives
+  the call.
 
 All batch estimates are **bit-identical** to the scalar per-query
 answerers — the batch kernels perform the same numpy operation
@@ -41,7 +43,6 @@ domain exceeds the budget.
 
 from __future__ import annotations
 
-import weakref
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -51,6 +52,7 @@ from ..anonymity.anatomy import AnatomyTable, BaselinePublication
 from ..core.perturb import PerturbedTable
 from ..dataset.published import GeneralizedTable
 from ..dataset.table import Table
+from ..io import table_digest
 from ..metrics.errors import (
     ErrorProfile,
     error_profile,
@@ -124,6 +126,14 @@ class RangeBitmapIndex:
             np.ones(self.n_rows, dtype=bool)
         )
         self._all_rows = ones
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the packed bitmaps (equals :meth:`estimate_bytes`)."""
+        bitmaps = [le_ge for le_ge, _ in self._qi] + [self._sa]
+        return self._all_rows.nbytes + sum(
+            le.nbytes + ge.nbytes for le, ge in bitmaps
+        )
 
     @staticmethod
     def estimate_bytes(table: Table) -> int:
@@ -203,45 +213,12 @@ class TableMaskEngine:
     """
 
     def __init__(
-        self,
-        table: Table,
-        index_budget: int = DEFAULT_INDEX_BUDGET,
-        *,
-        weak: bool = True,
+        self, table: Table, index_budget: int = DEFAULT_INDEX_BUDGET
     ):
-        # Weak reference by default: engines live as values of a
-        # WeakKeyDictionary keyed by their table, and a strong reference
-        # there would pin the key (and this whole index) forever.  The
-        # facade's ArtifactCache keys engines by *content* instead, and
-        # an equal-content table may outlive the object the engine was
-        # built from — those engines hold the table strongly (the cache
-        # bounds and invalidates them explicitly).
-        if weak:
-            self._table = weakref.ref(table)
-        else:
-            self._table = lambda: table
+        self.table = table
         self.index: RangeBitmapIndex | None = None
         if RangeBitmapIndex.estimate_bytes(table) <= index_budget:
             self.index = RangeBitmapIndex(table)
-
-    @property
-    def table(self) -> Table:
-        table = self._table()
-        if table is None:  # pragma: no cover - requires a dangling engine
-            raise ReferenceError("the engine's table has been collected")
-        return table
-
-    def __getstate__(self) -> dict:
-        # Neither a weakref nor the strong-ref closure pickles; carry the
-        # table itself.  The restored engine always holds its table
-        # strongly — across a process boundary there is no registry
-        # entry left for a weak reference to protect.
-        return {"table": self.table, "index": self.index}
-
-    def __setstate__(self, state: dict) -> None:
-        table = state["table"]
-        self._table = lambda: table
-        self.index = state["index"]
 
     # -- chunked-broadcasting fallback ---------------------------------
 
@@ -310,42 +287,25 @@ class TableMaskEngine:
 
 
 # ----------------------------------------------------------------------
-# Per-table caches (weak, so dropping the table frees everything)
+# Per-table artifacts (kept only in a cache the caller passes)
 # ----------------------------------------------------------------------
-
-_ENGINES: "weakref.WeakKeyDictionary[Table, TableMaskEngine]" = (
-    weakref.WeakKeyDictionary()
-)
-_PRECISE: "weakref.WeakKeyDictionary[Table, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-_ENCODED: "weakref.WeakKeyDictionary[Table, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-_PRECISE_PER_TABLE = 8
 
 
 def mask_engine(table: Table, cache=None) -> TableMaskEngine:
-    """The memoized :class:`TableMaskEngine` for ``table``.
+    """The :class:`TableMaskEngine` for ``table``.
 
     Args:
         table: The source microdata.
         cache: Optional :class:`repro.api.ArtifactCache`.  When given,
-            the engine is keyed by the table's *content digest* instead
-            of object identity, so an equal-content table reloaded from
-            disk reuses the already-built bitmap index; without it, the
-            legacy weak per-object registry is used.
+            the engine is keyed by the table's *content digest*, so an
+            equal-content table reloaded from disk reuses the
+            already-built bitmap index; without it, a new engine is
+            built.
     """
-    if cache is not None:
-        key = ("mask_engine", cache.table_key(table))
-        return cache.get_or_build(
-            key, lambda: TableMaskEngine(table, weak=False)
-        )
-    engine = _ENGINES.get(table)
-    if engine is None:
-        engine = TableMaskEngine(table)
-        _ENGINES[table] = engine
-    return engine
+    if cache is None:
+        return TableMaskEngine(table)
+    key = ("mask_engine", cache.table_key(table))
+    return cache.get_or_build(key, lambda: TableMaskEngine(table))
 
 
 def _encoded(
@@ -353,7 +313,8 @@ def _encoded(
     queries: Sequence[CountQuery] | EncodedWorkload,
     artifacts=None,
 ) -> EncodedWorkload:
-    """Encode against ``table``'s schema, memoized per (table, workload).
+    """Encode against ``table``'s schema, cached per (table, workload)
+    when ``artifacts`` is given.
 
     Sweep points regenerate equal workloads from the same seed; hashing
     the query tuple is ~10x cheaper than re-encoding it.
@@ -361,19 +322,12 @@ def _encoded(
     if isinstance(queries, EncodedWorkload):
         return queries
     key = tuple(queries)
-    if artifacts is not None:
-        return artifacts.get_or_build(
-            ("encoded", artifacts.table_key(table), key),
-            lambda: EncodedWorkload.encode(table.schema, key),
-        )
-    per_table = _ENCODED.setdefault(table, {})
-    hit = per_table.get(key)
-    if hit is None:
-        hit = EncodedWorkload.encode(table.schema, key)
-        if len(per_table) >= _PRECISE_PER_TABLE:
-            per_table.pop(next(iter(per_table)))
-        per_table[key] = hit
-    return hit
+    if artifacts is None:
+        return EncodedWorkload.encode(table.schema, key)
+    return artifacts.get_or_build(
+        ("encoded", artifacts.table_key(table), key),
+        lambda: EncodedWorkload.encode(table.schema, key),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -404,79 +358,64 @@ def table_count_cube(
     """The (QI..., SA) prefix-sum cube for ``table``, or ``None``.
 
     With an artifact cache the cube is content-keyed as
-    ``("cube_table", table_digest)``; otherwise it is memoized on the
-    table object.  ``backend="auto"`` only returns an already-built
-    cube, ``"cube"`` builds one (``None`` when over budget), and
-    ``"bitmap"`` always returns ``None``.
+    ``("cube_table", table_digest)``.  ``backend="auto"`` only returns a
+    cube already in that cache, ``"cube"`` builds one (``None`` when
+    over budget), and ``"bitmap"`` always returns ``None``.
     """
     check_backend(backend)
-    if backend == "bitmap":
+    if backend == "bitmap" or (backend == "auto" and artifacts is None):
         return None
-    if artifacts is not None:
-        key = ("cube_table", artifacts.table_key(table))
-        if backend == "auto":
-            return artifacts.get(key)
-        return artifacts.get_or_build(key, lambda: build_table_cube(table))
-    memo = table.__dict__
-    if "_table_cube" in memo:
-        return memo["_table_cube"]
+    if artifacts is None:
+        return build_table_cube(table)
+    key = ("cube_table", artifacts.table_key(table))
     if backend == "auto":
-        return None
-    cube = build_table_cube(table)
-    memo["_table_cube"] = cube
-    return cube
+        return artifacts.get(key)
+    return artifacts.get_or_build(key, lambda: build_table_cube(table))
 
 
 def _publication_cube(published, artifacts, backend: str) -> CountCube | None:
     """The publication's :class:`CountCube` under ``backend`` semantics.
 
-    ``None`` means the bitmap engine must serve it — either the backend
-    forbids cubes, none has been materialized yet (``auto``), or the
-    domain exceeded the build budget (``cube``).
+    A cube the publication store attached (``_count_cube``) is read
+    first.  ``None`` means the bitmap engine must serve it — either the
+    backend forbids cubes, none has been materialized yet (``auto``), or
+    the domain exceeded the build budget (``cube``).
     """
     if backend == "bitmap":
         return None
-    memo = getattr(published, "__dict__", None)
-    if memo is not None and "_count_cube" in memo:
-        return memo["_count_cube"]
-    if artifacts is not None:
-        key = ("cube", artifacts.publication_key(published))
-        if backend == "auto":
-            return artifacts.get(key)
-        return artifacts.get_or_build(
-            key, lambda: build_count_cube(published)
-        )
+    attached = getattr(published, "__dict__", {})
+    if "_count_cube" in attached:
+        return attached["_count_cube"]
+    if artifacts is None:
+        return build_count_cube(published) if backend == "cube" else None
+    key = ("cube", artifacts.publication_key(published))
     if backend == "auto":
-        return None
-    cube = build_count_cube(published)
-    if memo is not None:
-        memo["_count_cube"] = cube
-    return cube
+        return artifacts.get(key)
+    return artifacts.get_or_build(key, lambda: build_count_cube(published))
 
 
 def answer_precise_batch(
     table: Table,
     queries: Sequence[CountQuery] | EncodedWorkload,
-    cache: bool = True,
     artifacts=None,
     backend: str = "auto",
 ) -> np.ndarray:
     """Exact answers for a whole workload in one batched pass.
 
     Equals ``[answer_precise(table, q) for q in queries]`` element for
-    element.  Results are memoized per (table, workload) so sweep points
-    that reuse a workload — Fig. 8(b) evaluates the same 2 000 queries at
-    five β values — compute them once.
+    element.  Sweep points that reuse a workload — Fig. 8(b) evaluates
+    the same 2 000 queries at five β values — compute them once when
+    they share an artifact cache.
 
     Args:
         table: The original microdata.
         queries: The workload (sequence of queries or already encoded).
-        cache: Set False to bypass the per-table memo (benchmarks).
-        artifacts: Optional :class:`repro.api.ArtifactCache`; replaces
-            the module-level weak memo with content-keyed entries that
-            survive table reloads.
+        artifacts: Optional :class:`repro.api.ArtifactCache`; the answers
+            are then content-keyed per (table, workload) and returned
+            read-only, since every later caller gets the same array.
+            Without it, a fresh writable array is computed.
         backend: ``auto`` | ``cube`` | ``bitmap`` — cube answers are
-            bit-identical int64 counts, so the memo key is shared.
+            bit-identical int64 counts, so the cache key is shared.
     """
     check_backend(backend)
     enc = _encoded(table, queries, artifacts)
@@ -489,32 +428,17 @@ def answer_precise_batch(
             return cube.range_sums(lo, hi)
         return mask_engine(table, artifacts).precise(enc)
 
-    key = enc.queries
-    if cache and artifacts is not None:
+    if artifacts is None:
+        return compute()
 
-        def build() -> np.ndarray:
-            out = compute()
-            out.setflags(write=False)
-            return out
-
-        return artifacts.get_or_build(
-            ("precise", artifacts.table_key(table), key), build
-        )
-    if cache:
-        per_table = _PRECISE.setdefault(table, {})
-        hit = per_table.get(key)
-        if hit is not None:
-            return hit
-    out = compute()
-    if cache:
-        # The cached object itself is handed to every later caller; it
-        # must be immutable or one caller's in-place edit would corrupt
-        # all subsequent evaluations of this workload.
+    def build() -> np.ndarray:
+        out = compute()
         out.setflags(write=False)
-        if len(per_table) >= _PRECISE_PER_TABLE:
-            per_table.pop(next(iter(per_table)))
-        per_table[key] = out
-    return out
+        return out
+
+    return artifacts.get_or_build(
+        ("precise", artifacts.table_key(table), enc.queries), build
+    )
 
 
 # ----------------------------------------------------------------------
@@ -539,23 +463,12 @@ def make_answerer(published):
     )
 
 
-def _coerce_answerer(published_or_answerer, artifacts=None):
+def _coerce_answerer(published_or_answerer):
     """Accept a publication, a prebuilt answerer (its caches survive),
-    or any plain per-query callable.
-
-    With an artifact cache, answerers built from publications are
-    memoized under the publication's content digest, so sweep points —
-    and store reloads of the same content — keep per-instance caches
-    (e.g. the perturbation weights) warm.
-    """
+    or any plain per-query callable."""
     if hasattr(published_or_answerer, "batch"):
         return published_or_answerer
     try:
-        if artifacts is not None:
-            key = ("answerer", artifacts.publication_key(published_or_answerer))
-            return artifacts.get_or_build(
-                key, lambda: make_answerer(published_or_answerer)
-            )
         return make_answerer(published_or_answerer)
     except TypeError:
         if callable(published_or_answerer):
@@ -568,18 +481,14 @@ def _source_of(answerer) -> Table | None:
     return getattr(published, "source", None)
 
 
-def _check_source(name: str, source: Table, table: Table, artifacts) -> None:
-    """A publication must be over ``table`` — by identity, or (when an
-    artifact cache can derive content keys) by content: a publication
-    reloaded from a store embeds a reconstructed source object that is
-    equal to, but not identical to, the caller's table."""
-    if source is table:
-        return
-    if artifacts is not None and artifacts.table_key(
-        source
-    ) == artifacts.table_key(table):
-        return
-    raise ValueError(f"publication {name!r} was built over a different table")
+def _check_source(name: str, source: Table, table: Table) -> None:
+    """A publication must be over ``table`` — by identity or by content:
+    a publication reloaded from a store embeds a reconstructed source
+    object that is equal to, but not identical to, the caller's table."""
+    if source is not table and table_digest(source) != table_digest(table):
+        raise ValueError(
+            f"publication {name!r} was built over a different table"
+        )
 
 
 def batch_estimates(
@@ -608,8 +517,8 @@ def batch_estimates(
             weights, warm across sweep points).
         queries: The workload.
         artifacts: Optional :class:`repro.api.ArtifactCache` providing
-            the content-keyed mask engine, encoded workload, answerers
-            and cubes (the facade's shared-artifact path).
+            the content-keyed mask engine, encoded workload and cubes
+            (the facade's shared-artifact path).
         backend: ``auto`` | ``cube`` | ``bitmap`` (see :data:`BACKENDS`).
         served: Optional dict the caller owns; filled with
             name → backend label that actually answered it: ``"cube"``,
@@ -624,17 +533,17 @@ def batch_estimates(
     check_backend(backend)
     enc = _encoded(table, queries, artifacts)
     answerers = {
-        name: _coerce_answerer(value, artifacts)
-        for name, value in publications.items()
+        name: _coerce_answerer(value) for name, value in publications.items()
     }
     for name, answerer in answerers.items():
         source = _source_of(answerer)
         if source is not None:
-            _check_source(name, source, table, artifacts)
+            _check_source(name, source, table)
     if served is None:
         served = {}
     out: dict[str, np.ndarray] = {}
     mask_users: dict[str, object] = {}
+    count_users: dict[str, object] = {}
     for name, answerer in answerers.items():
         if isinstance(answerer, GeneralizedAnswerer):
             out[name] = answerer.batch(enc)
@@ -657,10 +566,7 @@ def batch_estimates(
                 out[name] = answerer.batch(enc, qi_counts=cube.qi_counts(enc))
                 served[name] = "cube"
             else:
-                engine = mask_engine(table, artifacts)
-                out[name] = answerer.batch(
-                    enc, qi_counts=engine.qi_counts(enc)
-                )
+                count_users[name] = answerer
                 served[name] = "bitmap"
         elif hasattr(answerer, "batch"):
             out[name] = np.asarray(answerer.batch(enc))
@@ -668,8 +574,11 @@ def batch_estimates(
         else:  # plain per-query callable
             out[name] = np.array([answerer(q) for q in enc.queries])
             served[name] = "scalar"
-    if mask_users:
+    if mask_users or count_users:
         engine = mask_engine(table, artifacts)
+    for name, answerer in count_users.items():
+        out[name] = answerer.batch(enc, qi_counts=engine.qi_counts(enc))
+    if mask_users:
         for name in mask_users:
             out[name] = np.empty(enc.n_queries)
         for start, stop in engine._blocks(enc.n_queries):
@@ -684,15 +593,14 @@ def _evaluate_workload(
     table: Table,
     publications: Mapping[str, object],
     queries: Sequence[CountQuery] | EncodedWorkload,
-    cache: bool = True,
     artifacts=None,
     backend: str = "auto",
     served: "dict[str, str] | None" = None,
 ) -> "dict[str, ErrorProfile]":
     """Evaluate a COUNT-query workload over a set of publications.
 
-    Precise answers come from the cached batched pass, every estimator
-    shares the same QI-mask source, and each publication gets a full
+    Precise answers come from one batched pass, every estimator shares
+    the same QI-mask source, and each publication gets a full
     :class:`ErrorProfile` (Fig. 8/9 read ``.median``).  This is the
     implementation behind both the deprecated module-level
     :func:`evaluate_workload` and :meth:`repro.api.Dataset.evaluate`
@@ -702,7 +610,6 @@ def _evaluate_workload(
         table: The source microdata.
         publications: Name → publication or prebuilt answerer.
         queries: The workload.
-        cache: Forwarded to :func:`answer_precise_batch`.
         artifacts: Optional :class:`repro.api.ArtifactCache`.
         backend: Answer backend selection (see :data:`BACKENDS`).
         served: Optional dict filled with name → serving backend label.
@@ -715,7 +622,7 @@ def _evaluate_workload(
         table, publications, enc, artifacts, backend=backend, served=served
     )
     precise = answer_precise_batch(
-        table, enc, cache=cache, artifacts=artifacts, backend=backend
+        table, enc, artifacts=artifacts, backend=backend
     )
     return {
         name: error_profile(precise, estimate)

@@ -143,6 +143,12 @@ class EncodedWorkload:
     def n_queries(self) -> int:
         return len(self.queries)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the bound arrays (the query objects are not counted)."""
+        arrays = (self.qi_lo, self.qi_hi, self.constrained, self.sa_lo, self.sa_hi)
+        return sum(a.nbytes for a in arrays)
+
     def slice(self, start: int, stop: int) -> "EncodedWorkload":
         """A view of queries ``start:stop`` (arrays are shared)."""
         return EncodedWorkload(

@@ -10,8 +10,8 @@ mechanisms make the path cheap under heavy traffic:
   engine amortizes mask construction across the batch exactly as the
   experiment sweeps do;
 * **artifact reuse** — loaded publications live in an LRU cache keyed
-  by publication id, and their serving artifacts (bitmap index / mask
-  engine, answerers) live in a shared
+  by publication id with their answerers, and their serving artifacts
+  (bitmap index / mask engine, count cubes) live in a shared
   :class:`~repro.api.ArtifactCache` keyed by *content digest*, so
   repeated requests never rebuild indexes — even across a publication
   being evicted and reloaded, or two store objects holding the same
@@ -172,7 +172,7 @@ class QueryService:
             under sustained load batches fill while workers are busy,
             so the linger mainly helps bursty low-load traffic).
         artifact_cache: Optional :class:`repro.api.ArtifactCache` the
-            batched query engine keys mask engines / answerers in; pass
+            batched query engine keys mask engines / cubes in; pass
             a facade's cache to share artifacts with it, or leave None
             for a private one.
         executor: ``"thread"`` (default) answers batches on the worker
@@ -416,7 +416,7 @@ class QueryService:
                         # Dropping the publication must also drop its
                         # content-keyed serving artifacts, or the LRU
                         # bound would stop bounding memory.  Publication-
-                        # keyed entries (the answerer) go unconditionally;
+                        # keyed entries (cubes) go unconditionally;
                         # the table-keyed mask engine is shared by every
                         # publication over the same source, so it only
                         # goes when the *last* such publication leaves.

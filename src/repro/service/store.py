@@ -34,6 +34,7 @@ import numpy as np
 
 from ..anonymity.anatomy import AnatomyTable, BaselinePublication
 from ..audit.evaluate import _audit_publications
+from ..audit.view import publication_view
 from ..core.model import BetaLikeness
 from ..core.perturb import PerturbationScheme, PerturbedTable
 from ..dataset.published import GeneralizedTable
@@ -76,14 +77,13 @@ def _check_requirement(requirement: Mapping[str, Any]) -> dict:
 def _certify_grouped(
     published, requirement: Mapping[str, Any], *, ordered_emd: bool, cache=None
 ) -> dict:
-    """Audit a group-based publication and compare against the contract."""
-    from ..audit.view import publication_view
+    """Audit a group-based publication and compare against the contract.
 
+    The view is built once and serves both the audit and the β check.
+    """
+    view = publication_view(published, cache=cache)
     report = _audit_publications(
-        published.source,
-        {"candidate": published},
-        ordered_emd=ordered_emd,
-        cache=cache,
+        published.source, {"candidate": view}, ordered_emd=ordered_emd
     )["candidate"]
     privacy = report.privacy
     failures = []
@@ -95,7 +95,6 @@ def _certify_grouped(
         model = BetaLikeness(
             requirement["beta"], enhanced=requirement.get("enhanced", True)
         )
-        view = publication_view(published, cache=cache)
         bound = model.threshold(view.global_distribution)
         excess = float(
             (view.distributions - bound[None, :]).max()

@@ -402,6 +402,88 @@ class TestCache001:
 
 
 # ---------------------------------------------------------------------------
+# CACHE002: identity-keyed memos
+# ---------------------------------------------------------------------------
+
+
+class TestCache002:
+    def test_weak_key_dictionary(self, tmp_path):
+        result = lint_snippet(
+            tmp_path,
+            "import weakref\n"
+            "_ENGINES = weakref.WeakKeyDictionary()\n",
+        )
+        assert rules_hit(result) == ["CACHE002"]
+        assert "identity-keyed" in result.findings[0].message
+
+    def test_imported_finalize_and_value_dictionary(self, tmp_path):
+        result = lint_snippet(
+            tmp_path,
+            "from weakref import WeakValueDictionary, finalize\n"
+            "_VIEWS = WeakValueDictionary()\n"
+            "def track(pub, registry):\n"
+            "    finalize(pub, registry.pop, 0, None)\n",
+        )
+        assert [f.rule for f in result.findings] == ["CACHE002"] * 2
+        assert [f.line for f in result.findings] == [2, 4]
+
+    def test_dict_subscript_write(self, tmp_path):
+        result = lint_snippet(
+            tmp_path,
+            "def table_cube(table, build):\n"
+            "    table.__dict__['_table_cube'] = build(table)\n",
+        )
+        assert rules_hit(result) == ["CACHE002"]
+        assert "__dict__" in result.findings[0].message
+
+    def test_dict_writes_one_hop(self, tmp_path):
+        result = lint_snippet(
+            tmp_path,
+            "def measure_cube(pub, dim, build):\n"
+            "    memo = getattr(pub, '__dict__', None)\n"
+            "    memo.setdefault('_measure_cubes', {})[dim] = build(pub)\n"
+            "def table_cube(table, build):\n"
+            "    memo = table.__dict__\n"
+            "    memo['_table_cube'] = build(table)\n",
+        )
+        assert [f.line for f in result.findings] == [3, 6]
+
+    def test_reads_and_plain_weakrefs_are_clean(self, tmp_path):
+        result = lint_snippet(
+            tmp_path,
+            "import weakref\n"
+            "def attached_cube(pub):\n"
+            "    attached = getattr(pub, '__dict__', {})\n"
+            "    if '_count_cube' in attached:\n"
+            "        return attached['_count_cube']\n"
+            "    return pub.__dict__.get('_count_cube')\n"
+            "def probe(table, memo):\n"
+            "    memo['k'] = weakref.ref(table)\n"
+            "    return memo.setdefault('n', 0)\n",
+        )
+        assert result.findings == []
+
+    def test_tests_are_exempt(self, tmp_path):
+        result = lint_snippet(
+            tmp_path,
+            "def fresh(pub):\n"
+            "    pub.__dict__['_count_cube'] = None\n",
+            name="tests/test_fixture.py",
+        )
+        assert result.findings == []
+
+    def test_suppression(self, tmp_path):
+        result = lint_snippet(
+            tmp_path,
+            "def seed(view, p):\n"
+            "    # reprolint: ignore[CACHE002] -- seeds the view's own field\n"
+            "    view.__dict__['global_distribution'] = p\n",
+        )
+        assert result.findings == []
+        assert [f.rule for f in result.suppressed] == ["CACHE002"]
+
+
+# ---------------------------------------------------------------------------
 # DET001: set iteration feeding ordered output
 # ---------------------------------------------------------------------------
 
@@ -653,6 +735,7 @@ class TestReporting:
             "PICKLE001",
             "OBS001",
             "CACHE001",
+            "CACHE002",
             "DET001",
             "SUP001",
         ):

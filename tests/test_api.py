@@ -78,9 +78,7 @@ class TestByteIdentity:
 
     def test_evaluate_all_kinds(self, dataset, publications, workload):
         facade = dataset.evaluate(publications, workload)
-        direct = _evaluate_workload(
-            dataset.table, publications, workload, cache=False
-        )
+        direct = _evaluate_workload(dataset.table, publications, workload)
         assert list(facade) == list(KINDS)
         for kind in KINDS:
             assert facade[kind] == direct[kind], kind
@@ -151,8 +149,7 @@ class TestByteIdentity:
                 {"reloaded": reloaded}, workload
             )["reloaded"]
             direct_profile = _evaluate_workload(
-                dataset.table, {"p": publications[kind]}, workload,
-                cache=False,
+                dataset.table, {"p": publications[kind]}, workload
             )["p"]
             assert facade_profile == direct_profile, kind
 
@@ -171,7 +168,7 @@ class TestByteIdentity:
         from repro.query.evaluate import answer_precise_batch
 
         facade = dataset.precise(workload)
-        direct = answer_precise_batch(dataset.table, workload, cache=False)
+        direct = answer_precise_batch(dataset.table, workload)
         assert np.array_equal(facade, direct)
 
 
@@ -241,6 +238,27 @@ class TestCacheSemantics:
         assert stats["nbytes"] <= 4_000
         # The most recent entry always survives.
         assert ("view", "digest9") in cache
+
+    def test_artifacts_charged_what_they_own(self, publications):
+        from repro.api import estimate_nbytes
+        from repro.query.evaluate import RangeBitmapIndex
+
+        ds = Dataset.from_census(
+            3_000, seed=2, qi_names=("Age", "Gender", "Education")
+        )
+        ds.mask_engine()
+        enc = ds.encode(ds.workload(50, 1, 0.2))
+        kinds = ds.cache.stats()["kinds"]
+        assert kinds["mask_engine"]["nbytes"] == (
+            RangeBitmapIndex.estimate_bytes(ds.table)
+        )
+        assert kinds["encoded"]["nbytes"] == sum(
+            a.nbytes
+            for a in (enc.qi_lo, enc.qi_hi, enc.constrained, enc.sa_lo, enc.sa_hi)
+        )
+        # Publications are referenced, never owned, like the table.
+        for published in publications.values():
+            assert estimate_nbytes({"published": published}) == 0
 
     def test_oversized_entry_survives_alone(self):
         cache = ArtifactCache(max_bytes=100)

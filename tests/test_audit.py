@@ -16,6 +16,7 @@ from repro import attacks as scalar_attacks
 from repro import audit
 from repro import metrics as scalar_metrics
 from repro.anonymity import anatomize, mondrian, sabre, t_closeness
+from repro.api import ArtifactCache
 from repro.attacks import (
     composition_attack,
     corruption_attack,
@@ -101,9 +102,13 @@ class TestPublicationView:
 
     def test_view_is_cached_per_publication(self, publications):
         pub = publications["sabre"]
-        assert audit.publication_view(pub) is audit.publication_view(pub)
-        audit.clear_view_cache()
-        assert audit.publication_view(pub) is audit.publication_view(pub)
+        cache = ArtifactCache()
+        view = audit.publication_view(pub, cache)
+        assert audit.publication_view(pub, cache) is view
+        # Without a cache each call builds a new, equal view.
+        fresh = audit.publication_view(pub)
+        assert audit.publication_view(pub) is not fresh
+        assert np.array_equal(fresh.counts, view.counts)
 
     def test_anatomy_groups_supported(self, publications):
         view = audit.publication_view(publications["anatomy"])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.anonymity import BaselinePublication, anatomize
+from repro.api import ArtifactCache
 from repro.core import burel, perturb_table
 from repro.dataset import make_census
 from repro.dataset.schema import Attribute, Schema, SensitiveAttribute
@@ -60,10 +61,10 @@ def publications(census_small):
 
 
 def _fresh(published):
-    """A publication view without memoized cubes (shared fixtures keep
-    theirs; identity tests must control which backend actually runs)."""
-    for attr in ("_count_cube", "_measure_cubes"):
-        published.__dict__.pop(attr, None)
+    """A publication without an attached count cube (a test below
+    attaches one to a shared fixture; identity tests must control which
+    backend actually runs)."""
+    published.__dict__.pop("_count_cube", None)
     return published
 
 
@@ -159,9 +160,9 @@ class TestBackendIdentity:
             [answer_precise(census_small, q) for q in workload]
         )
         bitmap = answer_precise_batch(census_small, workload, backend="bitmap")
-        census_small.__dict__.pop("_table_cube", None)
-        cube = answer_precise_batch(census_small, workload, backend="cube")
-        census_small.__dict__.pop("_table_cube", None)
+        cube = answer_precise_batch(
+            census_small, workload, ArtifactCache(), backend="cube"
+        )
         assert cube.dtype == np.int64
         assert np.array_equal(scalar, bitmap)
         assert np.array_equal(scalar, cube)
@@ -470,10 +471,9 @@ class TestAggregates:
             bitmap = batch_aggregate_precise(
                 census_small, workload, self.MEASURE, op, backend="bitmap"
             )
-            census_small.__dict__.pop("_measure_table_cubes", None)
-            census_small.__dict__.pop("_table_cube", None)
             cube = batch_aggregate_precise(
-                census_small, workload, self.MEASURE, op, backend="cube"
+                census_small, workload, self.MEASURE, op,
+                artifacts=ArtifactCache(), backend="cube",
             )
             assert np.array_equal(scalar, bitmap, equal_nan=True), op
             assert np.array_equal(scalar, cube, equal_nan=True), op

@@ -2,13 +2,19 @@
 shared-mask/bitmap machinery, precise caching, and the query-layer
 bugfix regressions (anatomy coverage, workload rng contract)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.anonymity import BaselinePublication, anatomize
 from repro.anonymity.anatomy import AnatomyGroup, AnatomyTable
+from repro.api import ArtifactCache
+from repro.audit import privacy_profile, publication_view
+from repro.audit.evaluate import _audit_publications
 from repro.core import burel, perturb_table
-from repro.dataset import make_census
+from repro.dataset import Table, make_census
 from repro.query import (
     AnatomyAnswerer,
     BaselineAnswerer,
@@ -27,8 +33,9 @@ from repro.query import (
     qi_mask,
     workload_error,
 )
-from repro.query import evaluate as evaluate_module
+from repro.query.aggregates import batch_aggregate_estimates
 from repro.query.evaluate import TableMaskEngine, mask_engine
+from repro.service import PublicationStore
 
 
 @pytest.fixture(scope="module")
@@ -88,11 +95,16 @@ class TestPreciseBatch:
             assert np.array_equal(masks[i], qi_mask(census_small, workload[i]))
 
     def test_cache_reused_across_calls(self, census_small, workload):
-        first = answer_precise_batch(census_small, workload)
-        second = answer_precise_batch(census_small, workload)
+        cache = ArtifactCache()
+        engine = mask_engine(census_small, cache)
+        assert mask_engine(census_small, cache) is engine
+        first = answer_precise_batch(census_small, workload, artifacts=cache)
+        second = answer_precise_batch(census_small, workload, artifacts=cache)
         assert second is first  # cached object, not a recomputation
-        uncached = answer_precise_batch(census_small, workload, cache=False)
-        assert uncached is not first
+        # Without a cache every call builds afresh.
+        assert mask_engine(census_small) is not mask_engine(census_small)
+        uncached = answer_precise_batch(census_small, workload)
+        assert uncached is not answer_precise_batch(census_small, workload)
         assert np.array_equal(uncached, first)
 
     def test_row_count_not_multiple_of_64(self):
@@ -105,7 +117,7 @@ class TestPreciseBatch:
 
     def test_full_domain_query_counts_everything(self, census_small):
         query = CountQuery(qi_ranges=(), sa_range=(0, 49))
-        batch = answer_precise_batch(census_small, [query], cache=False)
+        batch = answer_precise_batch(census_small, [query])
         assert batch.tolist() == [census_small.n_rows]
 
 
@@ -281,28 +293,42 @@ class TestWorkloadRngContract:
 
 
 class TestCacheHygiene:
-    def test_precise_cache_is_bounded(self, census_small):
-        per_table = evaluate_module._PRECISE.setdefault(census_small, {})
-        per_table.clear()
-        for seed in range(evaluate_module._PRECISE_PER_TABLE + 3):
-            queries = make_workload(census_small.schema, 5, 1, 0.1, rng=seed)
-            answer_precise_batch(census_small, queries)
-        assert len(per_table) <= evaluate_module._PRECISE_PER_TABLE
-
-    def test_engine_cache_frees_with_table(self):
-        """The engine must not hold a strong reference to its table —
-        that would pin the WeakKeyDictionary key (and the bitmap index)
-        for the process lifetime."""
-        import gc
-        import weakref
-
-        table = make_census(200, seed=5, qi_names=("Age", "Gender"))
-        mask_engine(table)
-        assert table in evaluate_module._ENGINES
-        probe = weakref.ref(table)
-        del table
+    def test_free_functions_keep_nothing_alive(self, tmp_path):
+        """Without a cache, nothing a call builds outlives it: the table
+        and the publication die with their last caller reference."""
+        table = make_census(300, seed=5, qi_names=("Age", "Gender"))
+        published = burel(table, 3.0).published
+        queries = make_workload(table.schema, 20, 1, 0.2, rng=3)
+        answer_precise_batch(table, queries, backend="cube")
+        batch_estimates(table, {"p": published}, queries)
+        perturbed = perturb_table(table, 4.0, rng=np.random.default_rng(2))
+        batch_estimates(table, {"p": perturbed}, queries, backend="cube")
+        batch_aggregate_estimates(
+            table, {"p": perturbed}, queries, 0, "avg", backend="cube"
+        )
+        publication_view(published)
+        privacy_profile(published)
+        PublicationStore(tmp_path).put(published, requirement={"beta": 3.0})
+        probes = [weakref.ref(o) for o in (table, published, perturbed)]
+        del table, published, perturbed
         gc.collect()
-        assert probe() is None
+        assert [probe() for probe in probes] == [None, None, None]
+
+    def test_content_equal_table_accepted_without_cache(
+        self, census_small, workload
+    ):
+        published = burel(census_small, 3.0).published
+        copy = Table(
+            census_small.schema, census_small.qi.copy(), census_small.sa.copy()
+        )
+        assert copy is not census_small
+        via_copy = batch_estimates(copy, {"p": published}, workload)["p"]
+        direct = batch_estimates(census_small, {"p": published}, workload)
+        assert np.array_equal(via_copy, direct["p"])
+        audited = _audit_publications(copy, {"p": published})["p"]
+        assert audited == _audit_publications(
+            census_small, {"p": published}
+        )["p"]
 
     def test_duplicate_dimension_predicates_rejected(self, census_small):
         """The scalar path intersects repeated predicates; the dense
@@ -311,7 +337,7 @@ class TestCacheHygiene:
             qi_ranges=((0, (10, 20)), (0, (15, 30))), sa_range=(0, 10)
         )
         with pytest.raises(ValueError, match="ascending dimension order"):
-            answer_precise_batch(census_small, [query], cache=False)
+            answer_precise_batch(census_small, [query])
 
     def test_unsorted_dimension_predicates_rejected(self, census_small):
         """Scalar fraction products follow tuple order; out-of-order
@@ -320,10 +346,12 @@ class TestCacheHygiene:
             qi_ranges=((2, (0, 5)), (0, (10, 20))), sa_range=(0, 10)
         )
         with pytest.raises(ValueError, match="ascending dimension order"):
-            answer_precise_batch(census_small, [query], cache=False)
+            answer_precise_batch(census_small, [query])
 
     def test_cached_precise_answers_are_immutable(self, census_small):
         queries = make_workload(census_small.schema, 8, 1, 0.1, rng=77)
-        cached = answer_precise_batch(census_small, queries)
+        cached = answer_precise_batch(
+            census_small, queries, artifacts=ArtifactCache()
+        )
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 0

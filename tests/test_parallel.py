@@ -263,7 +263,7 @@ class TestPickleRoundTrips:
         assert clone.queries == enc.queries
 
     def test_mask_engine(self, table, workload):
-        engine = TableMaskEngine(table, weak=False)
+        engine = TableMaskEngine(table)
         enc = _encoded(table, workload, None)
         expected = engine.precise(enc)
         clone = pickle.loads(pickle.dumps(engine))
