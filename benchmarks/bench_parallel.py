@@ -61,7 +61,6 @@ from pathlib import Path
 import numpy as np
 
 from _obs import telemetry_block
-from bench_api import clear_global_caches  # noqa: F401  (same directory)
 from repro.api import Dataset
 from repro.audit.evaluate import _audit_publications
 from repro.dataset import synthetic
@@ -87,7 +86,6 @@ STAGES = ("anonymize", "audit", "evaluate")
 
 def run_unsharded(table, queries) -> dict:
     """The single-process chain through one Dataset session."""
-    clear_global_caches()
     ds = Dataset(table)
     seconds = {}
 
@@ -115,7 +113,6 @@ def run_unsharded(table, queries) -> dict:
 
 def run_sharded(table, queries, *, workers: int, shards: int) -> dict:
     """The sharded chain; ``workers=1`` is the serial fallback."""
-    clear_global_caches()
     seconds = {}
     with ShardedSession(table, workers=workers, shards=shards) as session:
         start = time.perf_counter()
@@ -169,7 +166,6 @@ def check_identity(unsharded: dict, serial: dict, pooled: dict) -> dict:
         failures.append("sharded precise counts != unsharded precise counts")
 
     # From-scratch audit of the merged publication, no seeded caches.
-    clear_global_caches()
     direct = _audit_publications(
         pooled["published"].source, {"merged": pooled["published"]}
     )["merged"]
@@ -295,7 +291,6 @@ def main() -> None:
     )
 
     def probe(tel):
-        clear_global_caches()
         with ShardedSession(
             probe_table, workers=args.workers, shards=shards, telemetry=tel
         ) as session:

@@ -35,12 +35,12 @@ Eligibility = Callable[[np.ndarray, int], bool]
 def beta_eligibility(f_min: np.ndarray) -> Eligibility:
     """Theorem 1's condition: every bucket's share is capped by
     ``f(p_{ℓ_j})``."""
-    f_min = np.asarray(f_min, dtype=float)
+    limit = np.asarray(f_min, dtype=float) + TOLERANCE
 
     def eligible(counts: np.ndarray, size: int) -> bool:
         if size <= 0:
             return False
-        return bool(np.all(counts / size <= f_min + TOLERANCE))
+        return bool((counts / size <= limit).all())
 
     return eligible
 
@@ -101,11 +101,16 @@ def balanced_halve(
     ``n - n // 2`` tuples to each child and the child totals are
     ``|G| // 2`` and ``|G| - |G| // 2``.  Unlike the paper's split, the
     extra tuples of odd buckets are spread over *both* children — most
-    cap-constrained buckets first, each extra going to the child whose
-    relative share for that bucket stays lower — so no child accumulates
-    systematic rounding drift.  This markedly deepens the ECTree when a
-    bucket's weight sits close to its cap (DESIGN.md §6) while remaining
-    a per-bucket floor/ceil split exactly as in the paper.
+    cap-constrained buckets first — so no child accumulates systematic
+    rounding drift.  This markedly deepens the ECTree when a bucket's
+    weight sits close to its cap (DESIGN.md §6) while remaining a
+    per-bucket floor/ceil split exactly as in the paper.
+
+    Of ``k`` odd buckets, the right child takes ``⌈k/2⌉`` extras (its
+    size is ``|G| - |G| // 2``) and the left ``⌊k/2⌋``.  The right child
+    is never the smaller one, so an extra tuple is never a larger share
+    of it than of the left: the right child always takes the lower
+    share, and the most constrained buckets' extras go there first.
 
     Args:
         counts: Per-bucket tuple counts of the node.
@@ -116,28 +121,14 @@ def balanced_halve(
     counts = np.asarray(counts, dtype=np.int64)
     floors = counts // 2
     odd = np.nonzero(counts - 2 * floors)[0]
-    total = int(counts.sum())
-    size_left = total // 2
-    quota_left = size_left - int(floors.sum())
-    size_right = total - size_left
-
-    left = floors.copy()
-    right = floors.copy()
     if f_min is not None:
         caps = np.asarray(f_min, dtype=float)
         odd = odd[np.argsort(caps[odd], kind="stable")]
-    remaining_left = quota_left
-    remaining_right = odd.size - quota_left
-    for j in odd:
-        share_left = (floors[j] + 1) / size_left if size_left else np.inf
-        share_right = (floors[j] + 1) / size_right if size_right else np.inf
-        prefer_left = share_left < share_right
-        if (prefer_left and remaining_left > 0) or remaining_right == 0:
-            left[j] += 1
-            remaining_left -= 1
-        else:
-            right[j] += 1
-            remaining_right -= 1
+    n_right = odd.size - odd.size // 2
+    left = floors.copy()
+    right = floors.copy()
+    right[odd[:n_right]] += 1
+    left[odd[n_right:]] += 1
     return left, right
 
 

@@ -9,16 +9,23 @@ and the inverse decoder, both vectorized over numpy arrays.
 
 The implementation follows John Skilling, "Programming the Hilbert
 curve" (AIP Conf. Proc. 707, 2004): coordinates are converted to/from the
-"transpose" bit representation with Gray-code correction sweeps.  All bit
-manipulation is done on ``uint64`` arrays, so ``bits * dims`` must not
-exceed 64 — comfortably enough for microdata QI-spaces (<= 8 attributes of
-cardinality <= 65536 at 8 dims x 8 bits, or our default 5 dims x 12 bits).
+"transpose" bit representation with Gray-code correction sweeps, each a
+whole-column ``np.where`` update.  All bit manipulation is done on
+``uint64`` arrays, so ``bits * dims`` must not exceed 64 — comfortably
+enough for microdata QI-spaces (<= 8 attributes of cardinality <= 65536
+at 8 dims x 8 bits, or our default 5 dims x 12 bits).  The same bound
+lets the encoder pack each point into one ``uint64``, transform only the
+distinct points and expand their keys by the inverse map: QI tuples
+repeat heavily in microdata (49,118 distinct in 200K census rows).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .._distinct import distinct_rows
+
+_U0 = np.uint64(0)
 _U1 = np.uint64(1)
 
 
@@ -54,9 +61,11 @@ def hilbert_encode(points: np.ndarray, bits: int) -> np.ndarray:
     if pts.min() < 0 or pts.max() >= (1 << bits):
         raise ValueError(f"coordinates must lie in [0, 2**{bits})")
 
-    x = pts.astype(np.uint64).copy()
+    x = pts.astype(np.uint64)
+    first, inverse = distinct_rows(x.T, [1 << bits] * d)
+    x = x[first]
     _axes_to_transpose(x, bits)
-    return _interleave(x, bits)
+    return _interleave(x, bits)[inverse]
 
 
 def hilbert_decode(indices: np.ndarray, dims: int, bits: int) -> np.ndarray:
@@ -170,11 +179,11 @@ def _axes_to_transpose(x: np.ndarray, bits: int) -> None:
         for i in range(d):
             has_bit = (x[:, i] & q) != 0
             # Where the bit is set: invert the low bits of x[:, 0].
-            x[has_bit, 0] ^= p
-            # Elsewhere: exchange the low bits of x[:, 0] and x[:, i].
-            t = (x[~has_bit, 0] ^ x[~has_bit, i]) & p
-            x[~has_bit, 0] ^= t
-            x[~has_bit, i] ^= t
+            # Elsewhere: exchange the low bits of x[:, 0] and x[:, i]
+            # (for i == 0 the exchange is a no-op: t is zero).
+            t = np.where(has_bit, _U0, (x[:, 0] ^ x[:, i]) & p)
+            x[:, 0] ^= np.where(has_bit, p, t)
+            x[:, i] ^= t
         q >>= _U1
 
     # Gray encode.
@@ -183,8 +192,7 @@ def _axes_to_transpose(x: np.ndarray, bits: int) -> None:
     t = np.zeros(n, dtype=np.uint64)
     q = m
     while q > _U1:
-        sel = (x[:, d - 1] & q) != 0
-        t[sel] ^= q - _U1
+        t ^= np.where((x[:, d - 1] & q) != 0, q - _U1, _U0)
         q >>= _U1
     for i in range(d):
         x[:, i] ^= t

@@ -158,7 +158,8 @@ class PrefixSumCube:
                 perturbed SA value); must lie in ``[0, payload_card)``.
             payload_card: Cardinality of the payload axis.
             weights: Optional ``(n,)`` per-point weights (measure-sum
-                cubes); without them the cube holds int64 counts.
+                cubes); without them the cube holds integer counts,
+                int32 whenever n fits it.
         """
         if (payload is None) != (payload_card is None):
             raise ValueError("payload and payload_card go together")
@@ -180,17 +181,26 @@ class PrefixSumCube:
         else:
             flat_idx = np.ravel_multi_index(tuple(index_cols), shape)
             flat = np.bincount(flat_idx, weights=weights, minlength=cells)
-        prefix = flat.reshape(shape)
-        # Scattering at +1 offsets makes the running cumsum inclusive
-        # with the zero planes landing automatically at index 0.
-        for axis in range(len(dims)):
-            np.cumsum(prefix, axis=axis, out=prefix)
-        # Counts are bounded by n; int32 halves the memory traffic the
-        # corner gathers pay per query (downstream math converts to
-        # float64, which represents either width exactly, so estimates
-        # stay bit-identical).
+        # Every prefix sum of counts is at most n, so when n fits int32
+        # casting before the sums is exact; it halves the memory traffic
+        # of the sums and of the corner gathers each query pays
+        # (downstream math converts to float64, which represents either
+        # width exactly, so estimates stay bit-identical).
         if weights is None and n <= np.iinfo(np.int32).max:
-            prefix = prefix.astype(np.int32)
+            flat = flat.astype(np.int32)
+        prefix = flat.reshape(shape)
+        # Scattering at +1 offsets makes the running sums inclusive with
+        # the zero planes landing automatically at index 0.  Along an
+        # outer axis ``np.cumsum`` is slow, so each slab adds its
+        # predecessor in place — the same sequential order, so weighted
+        # (float) cubes stay bit-equal too.
+        for axis in range(len(dims)):
+            if axis == prefix.ndim - 1:
+                np.cumsum(prefix, axis=axis, out=prefix)
+                continue
+            slabs = np.moveaxis(prefix, axis, 0)
+            for i in range(1, slabs.shape[0]):
+                slabs[i] += slabs[i - 1]
         return cls(prefix, lows, payload_card)
 
     def _corner_bounds(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._distinct import distinct_rows
 from repro.anonymity import anatomize
 from repro.attacks import (
     definetti_attack,
@@ -14,8 +15,15 @@ from repro.attacks import (
     similarity_gain,
     skewness_gain,
 )
+from repro.attacks.naive_bayes import (
+    _conditional_matrix_generalized,
+    _conditional_matrix_raw,
+    _predict,
+)
 from repro.core import BetaLikeness, burel
 from repro.dataset import make_census, publish
+from repro.dataset.synthetic import synthetic
+from repro.dataset.table import Table
 
 
 class TestNaiveBayes:
@@ -117,3 +125,126 @@ class TestSkewness:
         # Group gain is bounded by the max per-value gain.
         per_value = skewness_gain(pub)
         assert report.max_gain <= per_value.max_gain + 1e-9
+
+
+# ----------------------------------------------------------------------
+# Oracle: Eq. 15's scores over every row
+# ----------------------------------------------------------------------
+
+
+def _predict_every_row(table, conditionals):
+    """Reference ``_predict``: an ``n × m`` score matrix over all rows."""
+    prior = table.sa_distribution()
+    with np.errstate(divide="ignore"):
+        scores = np.tile(np.log(np.where(prior > 0, prior, 1e-300)),
+                         (table.n_rows, 1))
+        for dim, conditional in enumerate(conditionals):
+            attr = table.schema.qi[dim]
+            rows = conditional[table.qi[:, dim] - attr.lo, :]
+            scores += np.log(np.where(rows > 0, rows, 1e-300))
+    return np.argmax(scores, axis=1).astype(np.int64)
+
+
+def _assert_predict_matches(table, conditionals):
+    predictions = _predict(table, conditionals)
+    assert predictions.dtype == np.int64
+    assert np.array_equal(predictions, _predict_every_row(table, conditionals))
+
+
+class TestPredictOracle:
+    def test_repeated_tuples_raw_and_generalized(self):
+        table = make_census(
+            20_000, seed=7, qi_names=("Age", "Gender", "Marital")
+        )
+        assert np.unique(table.qi, axis=0).shape[0] < table.n_rows // 10
+        n_qi = table.schema.n_qi
+        _assert_predict_matches(
+            table, [_conditional_matrix_raw(table, j) for j in range(n_qi)]
+        )
+        published = burel(table, 3.0).published
+        _assert_predict_matches(
+            table,
+            [_conditional_matrix_generalized(published, j)
+             for j in range(n_qi)],
+        )
+
+    def test_cardinality_product_past_int64(self, rng):
+        """512**8 = 2**72 QI combinations: one plain mixed-radix code
+        would wrap, and a wrapped code cannot tell a tuple from its twin
+        whose first QI value differs by 2."""
+        base = synthetic(300, qi_dims=8, qi_domain=512, seed=3)
+        cards = [attr.cardinality for attr in base.schema.qi]
+        assert int(np.prod(np.array(cards, dtype=object))) > 2**63
+        twins = base.qi.copy()
+        twins[:, 0] = (twins[:, 0] + 2) % 512
+        pool = Table(
+            base.schema,
+            np.concatenate([base.qi, twins]),
+            np.concatenate([base.sa, base.sa]),
+        )
+        table = pool.subset(rng.integers(0, pool.n_rows, 3_000))
+        m = table.sa_cardinality
+        _assert_predict_matches(
+            table,
+            [_conditional_matrix_raw(table, j)
+             for j in range(table.schema.n_qi)],
+        )
+        _assert_predict_matches(
+            table, [rng.random((512, m)) for _ in range(table.schema.n_qi)]
+        )
+
+    def test_sparse_conditionals(self, rng):
+        """Zero conditionals take the 1e-300 floor before the log; most
+        tuples find a zero under every SA value."""
+        table = make_census(3_000, seed=11, qi_names=("Age", "Gender"))
+        conditionals = []
+        for attr in table.schema.qi:
+            cond = rng.random((attr.cardinality, table.sa_cardinality))
+            cond[rng.random(cond.shape) < 0.9] = 0.0
+            conditionals.append(cond)
+        _assert_predict_matches(table, conditionals)
+
+
+class TestDistinctRows:
+    @staticmethod
+    def _check(columns, radices):
+        first, inverse = distinct_rows(columns, radices)
+        matrix = np.column_stack(columns)
+        expected = np.unique(matrix, axis=0)
+        assert first.shape[0] == expected.shape[0]
+        assert np.array_equal(matrix[first][inverse], matrix)
+        # One representative per distinct row, at its first occurrence.
+        for k, row in enumerate(first):
+            assert np.all(inverse[:row] != k)
+
+    def test_plain_code(self, rng):
+        columns = [rng.integers(0, 4, 200), rng.integers(0, 3, 200)]
+        self._check(columns, [4, 3])
+
+    def test_prefix_ranked_past_two_to_the_64(self, rng):
+        """Unranked, ``c0 * 2**40 + c1`` would wrap past 2**64 and merge
+        ``c0`` with ``c0 + 2**24``."""
+        head = rng.integers(0, 2**24, 15)
+        pool = np.column_stack(
+            [np.concatenate([head, head + 2**24]),
+             np.tile(rng.integers(0, 2**40, 15), 2),
+             np.tile(rng.integers(0, 7, 15), 2)]
+        )
+        matrix = pool[rng.integers(0, 30, 300)]
+        self._check(list(matrix.T), [2**40, 2**40, 7])
+
+    def test_vast_column_ranked_too(self, rng):
+        """A radix of 2**63 overflows even a ranked prefix; the column is
+        ranked as well.  Few last-column values make wraps collide."""
+        pool = np.column_stack(
+            [rng.integers(0, 2**40, 30), rng.integers(0, 2**40, 30),
+             rng.choice(rng.integers(0, 2**63, 3), 30)]
+        )
+        matrix = pool[rng.integers(0, 30, 300)]
+        self._check(list(matrix.T), [2**40, 2**40, 2**63])
+
+    def test_one_full_width_column(self):
+        column = np.array([2**64 - 1, 0, 2**64 - 1, 5], dtype=np.uint64)
+        first, inverse = distinct_rows([column], [2**64])
+        assert np.array_equal(column[first][inverse], column)
+        assert first.tolist() == [1, 3, 0]

@@ -9,6 +9,8 @@ layer.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from repro.attacks import (
     salary_bands,
 )
 from repro.core import burel
-from repro.dataset import publish
+from repro.dataset import make_census, publish
 from repro.dataset.published import make_equivalence_class
 
 
@@ -228,6 +230,28 @@ def test_naive_bayes_identical(census_small, publications):
 def test_naive_bayes_needs_boxes(publications):
     with pytest.raises(TypeError, match="generalized"):
         audit.naive_bayes_attack(publications["anatomy"])
+
+
+@pytest.mark.parametrize(
+    "attack",
+    [audit.naive_bayes_attack, scalar_attacks.naive_bayes_attack],
+    ids=["batched", "scalar"],
+)
+def test_naive_bayes_memory_below_one_score_matrix(attack):
+    """Memory ceiling of the audit's Naive Bayes step: scoring each of
+    the 649 distinct QI tuples once must peak below one ``n × m``
+    float64 matrix (7.6 MB), the size of a single all-rows score array."""
+    table = make_census(20_000, seed=7, qi_names=("Age", "Gender", "Marital"))
+    published = burel(table, 3.0).published
+    ceiling = table.n_rows * table.sa_cardinality * 8
+    attack(published)  # warm imports and lazy module state
+    tracemalloc.start()
+    try:
+        attack(published)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ceiling, f"peak {peak} B >= one n×m matrix ({ceiling} B)"
 
 
 def test_similarity_handles_uniform_toy(patients):

@@ -143,6 +143,83 @@ class TestPrefixSumCube:
         )
 
 
+def _cumsum_prefix(columns, lows, dims, payload=None, payload_card=None,
+                   weights=None):
+    """Reference prefix: int64 (or float64) ``np.cumsum`` along each range
+    axis, then the int32 cast for counts."""
+    shape = tuple(int(d) + 1 for d in dims)
+    if payload_card is not None:
+        shape = shape + (int(payload_card),)
+    cells = int(np.prod(shape))
+    index_cols = [np.asarray(c, dtype=np.int64) - lo + 1
+                  for c, lo in zip(columns, lows)]
+    if payload is not None:
+        index_cols.append(np.asarray(payload, dtype=np.int64))
+    flat = np.bincount(np.ravel_multi_index(tuple(index_cols), shape),
+                       weights=weights, minlength=cells)
+    prefix = flat.reshape(shape)
+    for axis in range(len(dims)):
+        np.cumsum(prefix, axis=axis, out=prefix)
+    return prefix.astype(np.int32) if weights is None else prefix
+
+
+class TestPrefixOracle:
+    """Slab-add prefix sums equal ``np.cumsum``'s, dtype and bits."""
+
+    DIMS, LOWS = (6, 4, 9, 3), (0, -2, 5, 1)
+
+    def _points(self, rng, n, dims, lows):
+        return [rng.integers(lo, lo + d, size=n) for d, lo in zip(dims, lows)]
+
+    def _check(self, columns, lows, dims, **kwargs):
+        cube = PrefixSumCube.build(columns, lows, dims, **kwargs)
+        expected = _cumsum_prefix(columns, lows, dims, **kwargs)
+        assert cube.prefix.dtype == expected.dtype
+        assert cube.prefix.shape == expected.shape
+        assert np.array_equal(cube.prefix, expected)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_count_cube(self, k, rng):
+        dims, lows = self.DIMS[:k], self.LOWS[:k]
+        self._check(self._points(rng, 2_000, dims, lows), lows, dims)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_payload_cube(self, k, rng):
+        dims, lows = self.DIMS[:k], self.LOWS[:k]
+        self._check(
+            self._points(rng, 2_000, dims, lows), lows, dims,
+            payload=rng.integers(0, 5, size=2_000), payload_card=5,
+        )
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("payload_card", [None, 3])
+    def test_weighted_cube(self, k, payload_card, rng):
+        """Non-integer weights: float sums are order-sensitive, so only
+        the same sequential order gives equal bits."""
+        dims, lows = self.DIMS[:k], self.LOWS[:k]
+        payload = (
+            None if payload_card is None
+            else rng.integers(0, payload_card, size=2_000)
+        )
+        self._check(
+            self._points(rng, 2_000, dims, lows), lows, dims,
+            payload=payload, payload_card=payload_card,
+            weights=rng.random(2_000) * 1e3,
+        )
+
+    def test_census_table_cube(self, census_small):
+        lows = tuple(a.lo for a in census_small.schema.qi) + (0,)
+        dims = tuple(a.cardinality for a in census_small.schema.qi) + (
+            census_small.sa_cardinality,
+        )
+        columns = list(census_small.qi.T) + [census_small.sa]
+        self._check(columns, lows, dims)
+        self._check(
+            columns, lows, dims,
+            weights=census_small.qi[:, 0].astype(np.float64),
+        )
+
+
 # ----------------------------------------------------------------------
 # Backend identity: precise and all four estimator kinds
 # ----------------------------------------------------------------------

@@ -10,9 +10,11 @@ from repro.dataset import (
     SensitiveAttribute,
     Table,
     box_of_rows,
+    make_census,
     make_equivalence_class,
     publish,
 )
+from repro.dataset.published import EquivalenceClass, GeneralizedTable
 from repro.hierarchy import Hierarchy
 
 
@@ -173,3 +175,83 @@ class TestPublication:
         assert len(gt) == 2
         assert gt.n_rows == 6
         assert np.allclose(gt.global_distribution(), [1 / 3] * 3)
+
+
+# ----------------------------------------------------------------------
+# publish() against make_equivalence_class per EC; the partition check
+# ----------------------------------------------------------------------
+
+
+def _random_groups(rng, n, n_groups):
+    """A random partition of ``range(n)`` into non-empty groups."""
+    order = rng.permutation(n)
+    cuts = np.sort(rng.choice(np.arange(1, n), n_groups - 1, replace=False))
+    return np.split(order, cuts)
+
+
+class TestPublishOracle:
+    @pytest.mark.parametrize("n_groups", [1, 7, 300])
+    def test_matches_per_class_construction(self, n_groups, rng):
+        """Census carries three categorical QIs, so LCA widening runs."""
+        table = make_census(2_000, seed=3)
+        kinds = {attr.kind for attr in table.schema.qi}
+        assert AttributeKind.CATEGORICAL in kinds
+        groups = _random_groups(rng, table.n_rows, n_groups)
+        published = publish(table, groups)
+        assert len(published) == n_groups
+        for ec, rows in zip(published, groups):
+            ref = make_equivalence_class(table, rows)
+            assert ec.rows.dtype == ref.rows.dtype
+            assert np.array_equal(ec.rows, ref.rows)
+            assert ec.box == ref.box
+            assert all(type(v) is int for pair in ec.box for v in pair)
+            assert ec.sa_counts.dtype == ref.sa_counts.dtype
+            assert np.array_equal(ec.sa_counts, ref.sa_counts)
+
+    def test_singleton_classes(self):
+        t = tiny_table()
+        published = publish(t, [np.array([i]) for i in range(t.n_rows)])
+        for i, ec in enumerate(published):
+            assert ec.box == box_of_rows(t, np.array([i]))
+
+    def test_empty_group_rejected(self):
+        t = tiny_table()
+        with pytest.raises(ValueError, match="empty"):
+            publish(t, [np.arange(6), np.array([], dtype=np.int64)])
+
+
+class TestPartitionCheck:
+    """``GeneralizedTable`` accepts exactly the partitions of its rows."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return make_census(100, seed=7)
+
+    @staticmethod
+    def _classes(table, groups):
+        return [make_equivalence_class(table, g) for g in groups]
+
+    def test_valid_partition_accepted(self, table, rng):
+        groups = _random_groups(rng, 100, 9)
+        published = GeneralizedTable(table, self._classes(table, groups))
+        assert len(published) == 9
+
+    def test_out_of_range_row_rejected(self, table):
+        # Row 150 stands in for row 99: 100 rows, none repeated.
+        ec = make_equivalence_class(table, np.arange(99))
+        stray = EquivalenceClass(
+            rows=np.array([150]), box=ec.box, sa_counts=ec.sa_counts
+        )
+        with pytest.raises(ValueError, match="lie in"):
+            GeneralizedTable(table, [ec, stray])
+
+    def test_negative_row_rejected(self, table):
+        # Row -1 would wrap around to row 99 under numpy indexing.
+        groups = [np.arange(50), np.concatenate([[-1], np.arange(50, 99)])]
+        with pytest.raises(ValueError, match="lie in"):
+            GeneralizedTable(table, self._classes(table, groups))
+
+    def test_duplicated_row_rejected(self, table):
+        groups = [np.arange(50), np.arange(49, 99)]
+        with pytest.raises(ValueError, match="partition"):
+            GeneralizedTable(table, self._classes(table, groups))

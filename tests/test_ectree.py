@@ -173,3 +173,74 @@ def test_tree_conservation_property(data):
     assert np.array_equal(np.sum(tree.specs, axis=0), np.array(sizes))
     for spec in tree.specs:
         assert int(spec.sum()) > 0
+
+
+# ----------------------------------------------------------------------
+# Oracle: balanced_halve as a per-bucket remainder loop
+# ----------------------------------------------------------------------
+
+
+def _balanced_halve_loop(counts, f_min=None):
+    """Reference ``balanced_halve``: one odd bucket at a time, each extra
+    to the child whose share stays lower."""
+    counts = np.asarray(counts, dtype=np.int64)
+    floors = counts // 2
+    odd = np.nonzero(counts - 2 * floors)[0]
+    total = int(counts.sum())
+    size_left = total // 2
+    quota_left = size_left - int(floors.sum())
+    size_right = total - size_left
+
+    left = floors.copy()
+    right = floors.copy()
+    if f_min is not None:
+        caps = np.asarray(f_min, dtype=float)
+        odd = odd[np.argsort(caps[odd], kind="stable")]
+    remaining_left = quota_left
+    remaining_right = odd.size - quota_left
+    for j in odd:
+        share_left = (floors[j] + 1) / size_left if size_left else np.inf
+        share_right = (floors[j] + 1) / size_right if size_right else np.inf
+        prefer_left = share_left < share_right
+        if (prefer_left and remaining_left > 0) or remaining_right == 0:
+            left[j] += 1
+            remaining_left -= 1
+        else:
+            right[j] += 1
+            remaining_right -= 1
+    return left, right
+
+
+def _assert_halves_equal(counts, f_min):
+    left, right = balanced_halve(counts, f_min)
+    ref_left, ref_right = _balanced_halve_loop(counts, f_min)
+    assert left.dtype == ref_left.dtype and right.dtype == ref_right.dtype
+    assert np.array_equal(left, ref_left)
+    assert np.array_equal(right, ref_right)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_balanced_halve_matches_loop_oracle(data):
+    """Slice assignment equals the loop, with tied caps and no caps."""
+    k = data.draw(st.integers(min_value=1, max_value=12))
+    counts = data.draw(st.lists(st.integers(0, 9), min_size=k, max_size=k))
+    # Few distinct cap values, so ties are common.
+    caps = data.draw(
+        st.one_of(
+            st.none(),
+            st.lists(
+                st.sampled_from([0.05, 0.1, 0.25, 1.0]),
+                min_size=k, max_size=k,
+            ),
+        )
+    )
+    _assert_halves_equal(np.array(counts), caps)
+
+
+@pytest.mark.parametrize("f_min", [None, [0.5, 0.5, 0.5], [0.9, 0.1, 0.1]])
+@pytest.mark.parametrize(
+    "counts", [[1, 0, 0], [0, 0, 1], [1, 1, 0], [0, 2, 0], [1, 0, 1]]
+)
+def test_balanced_halve_matches_loop_at_totals_one_and_two(counts, f_min):
+    _assert_halves_equal(np.array(counts), f_min)

@@ -12,6 +12,7 @@ from repro.hilbert import (
     required_bits,
     scaled_hilbert_key,
 )
+from repro.hilbert.curve import _axes_to_transpose, _interleave
 
 
 class TestRequiredBits:
@@ -161,3 +162,105 @@ class TestSortKeys:
             np.empty((0, 2)), np.array([0, 0]), np.array([1, 1])
         )
         assert out.size == 0
+
+
+# ----------------------------------------------------------------------
+# Oracle: a masked fancy-index transform that encodes every row
+# ----------------------------------------------------------------------
+
+_U1 = np.uint64(1)
+
+
+def _axes_to_transpose_masked(x, bits):
+    """Reference ``_axes_to_transpose``: masked fancy-index updates."""
+    n, d = x.shape
+    m = np.uint64(1) << np.uint64(bits - 1)
+    q = m
+    while q > _U1:
+        p = q - _U1
+        for i in range(d):
+            has_bit = (x[:, i] & q) != 0
+            x[has_bit, 0] ^= p
+            t = (x[~has_bit, 0] ^ x[~has_bit, i]) & p
+            x[~has_bit, 0] ^= t
+            x[~has_bit, i] ^= t
+        q >>= _U1
+    for i in range(1, d):
+        x[:, i] ^= x[:, i - 1]
+    t = np.zeros(n, dtype=np.uint64)
+    q = m
+    while q > _U1:
+        sel = (x[:, d - 1] & q) != 0
+        t[sel] ^= q - _U1
+        q >>= _U1
+    for i in range(d):
+        x[:, i] ^= t
+
+
+def _encode_every_row(points, bits):
+    """Reference ``hilbert_encode``: every row, masked transform."""
+    x = np.asarray(points).astype(np.uint64).copy()
+    _axes_to_transpose_masked(x, bits)
+    return _interleave(x, bits)
+
+
+def _random_points(rng, n, d, bits):
+    hi = np.uint64((1 << bits) - 1)
+    raw = rng.integers(0, 2**63, size=(n, d), dtype=np.uint64)
+    return raw & hi if bits < 64 else raw * np.uint64(2) + (raw & _U1)
+
+
+class TestEncodeOracle:
+    @pytest.mark.parametrize(
+        "d,bits", [(1, 1), (1, 12), (1, 64), (2, 32), (3, 12), (4, 16),
+                   (5, 12), (8, 8), (64, 1)]
+    )
+    def test_transform_matches_masked(self, d, bits, rng):
+        x = _random_points(rng, 500, d, bits)
+        expected = x.copy()
+        _axes_to_transpose_masked(expected, bits)
+        _axes_to_transpose(x, bits)
+        assert np.array_equal(x, expected)
+
+    @pytest.mark.parametrize(
+        "d,bits", [(1, 7), (1, 64), (2, 32), (5, 12), (8, 8), (64, 1)]
+    )
+    def test_repeated_shuffled_points(self, d, bits, rng):
+        """Every point occurs several times, in shuffled order."""
+        distinct = _random_points(rng, 40, d, bits)
+        points = distinct[rng.permutation(np.repeat(np.arange(40), 5))]
+        keys = hilbert_encode(points, bits)
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, _encode_every_row(points, bits))
+
+    def test_all_rows_one_point(self):
+        points = np.full((50, 4), 9, dtype=np.int64)
+        assert np.array_equal(
+            hilbert_encode(points, 4), _encode_every_row(points, 4)
+        )
+
+
+@given(
+    dims=st.integers(min_value=1, max_value=6),
+    bits=st.integers(min_value=1, max_value=10),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_encode_matches_every_row_oracle(dims, bits, data):
+    """Deduplicated encoding equals encoding each row, repeats or not."""
+    pool = data.draw(
+        st.lists(
+            st.lists(
+                st.integers(min_value=0, max_value=(1 << bits) - 1),
+                min_size=dims, max_size=dims,
+            ),
+            min_size=1, max_size=8,
+        )
+    )
+    picks = data.draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40)
+    )
+    points = np.array([pool[i] for i in picks], dtype=np.int64)
+    assert np.array_equal(
+        hilbert_encode(points, bits), _encode_every_row(points, bits)
+    )
