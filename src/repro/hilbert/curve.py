@@ -9,14 +9,15 @@ and the inverse decoder, both vectorized over numpy arrays.
 
 The implementation follows John Skilling, "Programming the Hilbert
 curve" (AIP Conf. Proc. 707, 2004): coordinates are converted to/from the
-"transpose" bit representation with Gray-code correction sweeps, each a
-whole-column ``np.where`` update.  All bit manipulation is done on
-``uint64`` arrays, so ``bits * dims`` must not exceed 64 — comfortably
-enough for microdata QI-spaces (<= 8 attributes of cardinality <= 65536
-at 8 dims x 8 bits, or our default 5 dims x 12 bits).  The same bound
-lets the encoder pack each point into one ``uint64``, transform only the
-distinct points and expand their keys by the inverse map: QI tuples
-repeat heavily in microdata (49,118 distinct in 200K census rows).
+"transpose" bit representation with Gray-code correction sweeps (the
+encoder's are whole-column ``np.where`` updates).  All bit manipulation
+is done on ``uint64`` arrays, so ``bits * dims`` must not exceed 64 —
+comfortably enough for microdata QI-spaces (<= 8 attributes of
+cardinality <= 65536 at 8 dims x 8 bits, or our default 5 dims x 12
+bits).  The same bound lets the encoder pack each point into one
+``uint64``, transform only the distinct points and expand their keys by
+the inverse map: QI tuples repeat heavily in microdata (49,118 distinct
+in 200K census rows).
 """
 
 from __future__ import annotations
@@ -61,9 +62,8 @@ def hilbert_encode(points: np.ndarray, bits: int) -> np.ndarray:
     if pts.min() < 0 or pts.max() >= (1 << bits):
         raise ValueError(f"coordinates must lie in [0, 2**{bits})")
 
-    x = pts.astype(np.uint64)
-    first, inverse = distinct_rows(x.T, [1 << bits] * d)
-    x = x[first]
+    first, inverse = distinct_rows(pts.T, [1 << bits] * d)
+    x = pts[first].astype(np.uint64)
     _axes_to_transpose(x, bits)
     return _interleave(x, bits)[inverse]
 

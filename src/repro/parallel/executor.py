@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import resource_tracker
 
 import numpy as np
 
@@ -662,6 +663,14 @@ class ProcessEvaluator:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self._pool = ProcessPoolExecutor(max_workers=workers)
+        # Under fork the pool forks its workers at the first submit.  Do
+        # it now, before `QueryService` starts its serving threads: a
+        # worker forked from one serving thread while another holds the
+        # resource tracker's lock (taken by every shared-memory create
+        # and attach) deadlocks at its first attach.  The tracker starts
+        # first so the workers inherit it.
+        resource_tracker.ensure_running()
+        self._pool.submit(int).result()
         self._shm = ShmArrays()
         self._payloads: dict[str, tuple] = {}
         self._closed = False

@@ -240,7 +240,7 @@ def test_naive_bayes_needs_boxes(publications):
 def test_naive_bayes_memory_below_one_score_matrix(attack):
     """Memory ceiling of the audit's Naive Bayes step: scoring each of
     the 649 distinct QI tuples once must peak below one ``n × m``
-    float64 matrix (7.6 MB), the size of a single all-rows score array."""
+    float64 matrix (7.6 MiB), the size of a single all-rows score array."""
     table = make_census(20_000, seed=7, qi_names=("Age", "Gender", "Marital"))
     published = burel(table, 3.0).published
     ceiling = table.n_rows * table.sa_cardinality * 8

@@ -4,6 +4,7 @@ counts (the parallel layer's core contract)."""
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 
 import numpy as np
@@ -491,6 +492,21 @@ class TestProcessServing:
             np.testing.assert_array_equal(
                 pooled.answer(record.pub_id, workload), expected
             )
+
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork",
+        reason="only a fork-context pool forks its workers at first submit",
+    )
+    def test_workers_forked_at_construction(self):
+        """Workers fork before `QueryService` starts its serving threads:
+        one forked later, while another thread holds the resource
+        tracker's lock, deadlocks at its first shared-memory attach."""
+        before = set(multiprocessing.active_children())
+        evaluator = ProcessEvaluator(workers=2)
+        try:
+            assert len(set(multiprocessing.active_children()) - before) == 2
+        finally:
+            evaluator.close()
 
     def test_executor_validated(self, tmp_path):
         store = PublicationStore(tmp_path)
