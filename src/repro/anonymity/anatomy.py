@@ -20,10 +20,12 @@ residual tuples join existing groups that lack their SA value.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..dataset.published import GroupedPublication, GroupRecords, group_offsets
 from ..dataset.table import Table
 from ..rng import coerce_rng
 
@@ -51,9 +53,10 @@ class BaselinePublication:
         return self.source.sa_distribution()
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnatomyGroup:
-    """One Anatomy group: member rows plus the published SA multiset."""
+    """One Anatomy group as a read-only record: member rows plus the
+    published SA multiset."""
 
     rows: np.ndarray
     sa_counts: np.ndarray
@@ -66,20 +69,30 @@ class AnatomyGroup:
         return self.sa_counts / self.size
 
 
-@dataclass
-class AnatomyTable:
-    """An ℓ-diverse Anatomy publication over a source table."""
+class AnatomyTable(GroupedPublication):
+    """An ℓ-diverse Anatomy publication over a source table.
 
-    source: Table
-    groups: tuple[AnatomyGroup, ...]
-    l: int
+    The columnar core (``rows``, ``offsets``, ``class_of``,
+    ``sa_counts``) is the publication; ``groups`` are read-only
+    :class:`AnatomyGroup` records built on access.
+    """
+
+    def __init__(self, source: Table, rows, offsets, l: int):
+        super().__init__(source, rows, offsets)
+        self.l = l
 
     @property
-    def n_rows(self) -> int:
-        return self.source.n_rows
+    def groups(self) -> GroupRecords:
+        return GroupRecords(self)
 
-    def __len__(self) -> int:
-        return len(self.groups)
+    def record(self, g: int) -> AnatomyGroup:
+        return AnatomyGroup(rows=self.group_rows(g), sa_counts=self.sa_counts[g])
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"AnatomyTable({self.n_groups} groups over {self.n_rows} rows, "
+            f"l={self.l})"
+        )
 
 
 def anatomy_row_groups(
@@ -155,16 +168,20 @@ def check_eligibility(table: Table, l: int) -> None:
 def assemble_anatomy(
     table: Table, group_rows: list[list[int]], l: int
 ) -> AnatomyTable:
-    """Build the :class:`AnatomyTable` publication from row groups."""
-    m = table.sa_cardinality
-    groups = tuple(
-        AnatomyGroup(
-            rows=np.array(sorted(rows), dtype=np.int64),
-            sa_counts=np.bincount(table.sa[rows], minlength=m).astype(np.int64),
-        )
-        for rows in group_rows
+    """Build the :class:`AnatomyTable` publication from row groups.
+
+    Each group publishes its rows in ascending order; one ``lexsort``
+    orders rows within groups and keeps the groups in order.
+    """
+    sizes = np.fromiter(map(len, group_rows), dtype=np.int64)
+    offsets = group_offsets(sizes)
+    rows = np.fromiter(
+        itertools.chain.from_iterable(group_rows),
+        dtype=np.int64,
+        count=int(offsets[-1]),
     )
-    return AnatomyTable(source=table, groups=groups, l=l)
+    group_of = np.repeat(np.arange(sizes.shape[0]), sizes)
+    return AnatomyTable(table, rows[np.lexsort((rows, group_of))], offsets, l)
 
 
 def anatomize(

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset.published import EquivalenceClass, GeneralizedTable
+from ..dataset.published import GeneralizedTable, group_offsets
 from ..dataset.schema import AttributeKind, Schema
 from ..dataset.table import Table
 from .constraints import ECConstraint, k_anonymity
@@ -154,26 +154,26 @@ def _publish_vector(
     ladders: list[GeneralizationLadder],
     vector: tuple[int, ...],
 ) -> GeneralizedTable:
-    """Materialize the publication for one level vector."""
+    """Materialize the publication for one level vector.
+
+    Classes are the distinct generalized code tuples in ``np.unique``
+    order, members in ascending row order; each class publishes its
+    ladder intervals.
+    """
     codes = _generalized_codes(table, ladders, vector)
-    _, first, inverse = np.unique(
-        codes, axis=0, return_index=True, return_inverse=True
+    _, inverse = np.unique(codes, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    rows = np.argsort(inverse, kind="stable")
+    offsets = group_offsets(np.bincount(inverse))
+    anchors = codes[rows[offsets[:-1]]]
+    boxes = np.stack(
+        [
+            np.array(ladders[j].intervals[vector[j]])[anchors[:, j]]
+            for j in range(table.schema.n_qi)
+        ],
+        axis=1,
     )
-    classes = []
-    m = table.sa_cardinality
-    for g in range(first.shape[0]):
-        rows = np.nonzero(inverse == g)[0].astype(np.int64)
-        box = []
-        anchor = rows[0]
-        for j, attr in enumerate(table.schema.qi):
-            level = vector[j]
-            bin_id = int(codes[anchor, j])
-            box.append(ladders[j].intervals[level][bin_id])
-        counts = np.bincount(table.sa[rows], minlength=m).astype(np.int64)
-        classes.append(
-            EquivalenceClass(rows=rows, box=tuple(box), sa_counts=counts)
-        )
-    return GeneralizedTable(table, classes)
+    return GeneralizedTable(table, rows, offsets, boxes)
 
 
 def _generalized_codes(

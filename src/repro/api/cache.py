@@ -28,9 +28,9 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Mapping
 
-from ..anonymity.anatomy import AnatomyTable, BaselinePublication
+from ..anonymity.anatomy import BaselinePublication
 from ..core.perturb import PerturbedTable
-from ..dataset.published import GeneralizedTable
+from ..dataset.published import GroupedPublication
 from ..dataset.table import Table
 from ..io import publication_digest, table_digest
 from ..obs import NULL_TELEMETRY, Telemetry
@@ -57,9 +57,7 @@ ARTIFACT_KINDS = (
 #: What artifacts reference but do not own: the session's table and the
 #: publications built over it.  Charging them per artifact would
 #: multiply-charge the same buffers.
-_REFERENCED = (
-    Table, GeneralizedTable, PerturbedTable, AnatomyTable, BaselinePublication
-)
+_REFERENCED = (Table, GroupedPublication, PerturbedTable, BaselinePublication)
 
 
 def estimate_nbytes(value: Any, _depth: int = 0) -> int:

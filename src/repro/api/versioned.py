@@ -13,14 +13,16 @@ life cycle::
 
 **The reuse contract.**  A sharded baseline run leaves one artifact per
 shard in the session's :class:`~repro.api.cache.ArtifactCache` — the
-shard's lifted publication groups, its local membership vector, its
-group×SA histogram and boxes — under ``("shard_run", lineage_token,
-shard_index)``.  An append routes the new rows to shards by Hilbert-key
-interval (:meth:`repro.parallel.ShardPlan.diff`), evicts exactly the
-touched shards' artifacts, and seeds the concatenated table's Hilbert
-keys and SA distribution from the cached baseline arrays.  A refresh
-then re-runs the engine only on dirty shards and assembles the
-whole-table publication and audit view from cached + recomputed pieces.
+shard's :class:`~repro.engine.shard.ShardPiece` with global member rows
+(its slice of the merged publication's arrays) — under
+``("shard_run", lineage_token, shard_index)``.  An append routes the
+new rows to shards by Hilbert-key interval
+(:meth:`repro.parallel.ShardPlan.diff`), evicts exactly the touched
+shards' artifacts, and seeds the concatenated table's Hilbert keys and
+SA distribution from the cached baseline arrays.  A refresh then
+re-runs the engine only on dirty shards and concatenates cached and
+recomputed pieces into the whole-table publication; its audit view is
+built from that publication like any other.
 
 **The pinned-``P`` invariant.**  Shard anonymization bucketizes against
 the overall SA distribution ``P`` (see
@@ -43,15 +45,15 @@ stream the baseline run would have.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..audit.view import merge_shard_views
 from ..engine.pipeline import STAGES, RunResult
-from ..engine.shard import ShardPiece, lift_groups, assemble_publication, run_shard
+from ..engine.shard import merge_pieces, run_shard
 from ..parallel.plan import ShardPlan
 from ..rng import spawn_seeds
 from .dataset import AnonymizationRun
@@ -89,7 +91,6 @@ class VersionState:
     Attributes:
         algorithm / params / seed: The baseline run configuration;
             dirty-shard recomputes replay it exactly.
-        kind / l: The publication format the baseline produced.
         sa_distribution: The **pinned** anonymization-time ``P`` (the
             baseline table's overall SA distribution) — see the module
             docstring for why it never moves.
@@ -103,8 +104,6 @@ class VersionState:
     algorithm: str
     params: dict
     seed: "int | None"
-    kind: str
-    l: "int | None"
     sa_distribution: np.ndarray
     plan: ShardPlan
     token: str
@@ -116,63 +115,21 @@ class VersionState:
         return ("shard_run", self.token, index)
 
 
-def shard_artifact(
-    rows: np.ndarray, piece: ShardPiece, groups=None
-) -> dict:
-    """One shard's cacheable publication slice.
-
-    Everything a refresh needs to *reuse* the shard without touching its
-    rows again: the lifted (global-row) groups ready to concatenate into
-    a publication, the local membership vector and histogram matrix the
-    merged audit view scatters/stacks, the stacked boxes, and the
-    shard's stage timings (reported as zero-cost on reuse).
-
-    ``groups`` lets the baseline snapshot pass the merged publication's
-    already-lifted group records instead of rebuilding them — the
-    baseline merge constructed them once already.
-    """
-    if groups is None:
-        groups = lift_groups(rows, piece)
-    class_of = np.full(rows.shape[0], -1, dtype=np.int64)
-    for g, local in enumerate(piece.group_rows):
-        class_of[local] = g
-    if np.any(class_of < 0):
-        raise ValueError("shard groups do not partition the shard rows")
-    boxes = (
-        np.array(piece.boxes, dtype=np.int64)
-        if piece.boxes is not None
-        else None
-    )
-    return {
-        "kind": piece.kind,
-        "l": piece.l,
-        "groups": tuple(groups),
-        "class_of": class_of,
-        "counts": np.ascontiguousarray(piece.sa_counts),
-        "boxes": boxes,
-        "stage_seconds": dict(piece.stage_seconds),
-        "elapsed_seconds": piece.elapsed_seconds,
-    }
-
-
 def snapshot_baseline(
     dataset, session, run, algorithm: str, params: dict, seed: "int | None"
 ) -> VersionState:
     """Record a sharded run as the dataset's versioned baseline.
 
-    Snapshots each shard's piece into the shared cache (reusing the
-    merged publication's lifted group records — no re-construction) and
-    returns the :class:`VersionState` that future appends/refreshes
+    Caches each shard's piece with its slice of the merged publication's
+    rows (the shard's rows, lifted to global ids — nothing is rebuilt)
+    and returns the :class:`VersionState` that future appends/refreshes
     evolve.  A previous lineage's artifacts are dropped first: one
     facade tracks one baseline at a time.
     """
-    pieces = run._pieces
     state = VersionState(
         algorithm=algorithm,
         params=dict(params),
         seed=seed,
-        kind=pieces[0].kind,
-        l=pieces[0].l,
         sa_distribution=session._anon_probs,
         plan=session.plan,
         token=lineage_token(
@@ -183,17 +140,15 @@ def snapshot_baseline(
             session.plan.n_shards,
         ),
     )
-    published = run.published
-    merged = (
-        published.classes if state.kind == "generalized" else published.groups
-    )
-    offset = 0
-    for i, (shard, piece) in enumerate(zip(session.plan, pieces)):
-        groups = merged[offset : offset + piece.n_groups]
-        offset += piece.n_groups
+    merged_rows = run.published.rows
+    start = 0
+    for i, piece in enumerate(run._pieces):
+        stop = start + piece.rows.shape[0]
         dataset.cache.put(
-            state.shard_key(i), shard_artifact(shard.rows, piece, groups)
+            state.shard_key(i),
+            dataclasses.replace(piece, rows=merged_rows[start:stop]),
         )
+        start = stop
     return state
 
 
@@ -236,8 +191,7 @@ def refresh_state(dataset, state: VersionState) -> RefreshRun:
     dirty — or LRU-evicted — shards re-run the engine over their (now
     extended) row sets with the pinned baseline ``P`` and their original
     per-shard seed stream.  The merged publication re-validates the row
-    partition in its constructor, and the merged audit view (seeded
-    under the publication's content key for certification reuse)
+    partition in its constructor; its audit view, built on first use,
     measures against the **current** table's true distribution.
     """
     start = time.perf_counter()
@@ -254,7 +208,7 @@ def refresh_state(dataset, state: VersionState) -> RefreshRun:
         else [None] * plan.n_shards
     )
     recomputed: list[int] = []
-    artifacts = []
+    pieces = []
     for i, shard in enumerate(plan):
         def build(shard=shard, i=i):
             recomputed.append(i)
@@ -263,7 +217,7 @@ def refresh_state(dataset, state: VersionState) -> RefreshRun:
                 if seeds[i] is not None
                 else None
             )
-            piece = run_shard(
+            return run_shard(
                 state.algorithm,
                 table.subset(shard.rows),
                 keys=keys[shard.rows],
@@ -271,38 +225,20 @@ def refresh_state(dataset, state: VersionState) -> RefreshRun:
                 rng=rng,
                 telemetry=dataset.telemetry(),
                 **state.params,
-            )
-            return shard_artifact(shard.rows, piece)
+            ).lift(shard.rows)
 
-        artifacts.append(cache.get_or_build(state.shard_key(i), build))
+        pieces.append(cache.get_or_build(state.shard_key(i), build))
     reused = tuple(i for i in range(plan.n_shards) if i not in recomputed)
-
-    groups: list = []
-    for artifact in artifacts:
-        groups.extend(artifact["groups"])
-    published = assemble_publication(table, state.kind, groups, l=state.l)
-
-    box_stacks = [a["boxes"] for a in artifacts]
-    view = merge_shard_views(
-        table,
-        [shard.rows for shard in plan],
-        [a["class_of"] for a in artifacts],
-        [a["counts"] for a in artifacts],
-        boxes=(
-            np.vstack(box_stacks) if box_stacks[0] is not None else None
-        ),
-        global_distribution=dataset.sa_distribution(),
-    )
-    cache.put(("view", cache.publication_key(published)), view)
+    published = merge_pieces(table, pieces)
 
     state.dirty.clear()
     state.version += 1
     stage_seconds: dict[str, float] = {}
     for i in recomputed:
         for name in STAGES:
-            if name in artifacts[i]["stage_seconds"]:
+            if name in pieces[i].stage_seconds:
                 stage_seconds[name] = stage_seconds.get(name, 0.0) + float(
-                    artifacts[i]["stage_seconds"][name]
+                    pieces[i].stage_seconds[name]
                 )
     provenance = {
         "incremental": {

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..anonymity.anatomy import AnatomyTable
-from ..dataset.published import GeneralizedTable
+from ..dataset.published import GroupedPublication
 from ..dataset.table import Table
 from .naive_bayes import AttackResult
 
@@ -49,28 +48,16 @@ class DeFinettiResult(AttackResult):
 
 
 def _groups_of(publication) -> list[np.ndarray]:
-    """Member-row arrays of a group-based publication, coverage-checked.
+    """Member-row arrays of a group-based publication.
 
-    Every source row must belong to exactly one group: an uncovered row
-    would keep an all-zero posterior through every EM iteration and its
-    arbitrary argmax-0 prediction would be scored as a real guess.
+    Its constructor validated that every source row belongs to exactly
+    one group: an uncovered row would keep an all-zero posterior through
+    every EM iteration and its arbitrary argmax-0 prediction would be
+    scored as a real guess.
     """
-    if isinstance(publication, AnatomyTable):
-        groups = [g.rows for g in publication.groups]
-    elif isinstance(publication, GeneralizedTable):
-        groups = [ec.rows for ec in publication.classes]
-    else:
+    if not isinstance(publication, GroupedPublication):
         raise TypeError(f"unsupported publication type {type(publication)!r}")
-    n = publication.source.n_rows
-    all_rows = (
-        np.concatenate(groups) if groups else np.empty(0, dtype=np.int64)
-    )
-    membership = np.bincount(all_rows, minlength=n)
-    if membership.shape[0] != n or np.any(membership != 1):
-        raise ValueError(
-            "publication's groups must cover every source row exactly once"
-        )
-    return groups
+    return np.split(publication.rows, publication.offsets[1:-1])
 
 
 def definetti_attack(
@@ -99,10 +86,8 @@ def definetti_attack(
 
     # Posterior[r, v] = attacker's belief that row r holds SA value v.
     posterior = np.zeros((n, m), dtype=float)
-    group_counts = []
-    for rows in groups:
-        counts = np.bincount(table.sa[rows], minlength=m).astype(float)
-        group_counts.append(counts)
+    group_counts = publication.sa_counts.astype(float)
+    for rows, counts in zip(groups, group_counts):
         posterior[rows, :] = counts / rows.size
 
     qi_offsets = [attr.lo for attr in table.schema.qi]

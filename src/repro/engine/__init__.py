@@ -29,14 +29,7 @@ deterministic behaviour; pass an int seed or a generator to randomize.
 from .batch import EngineJob, PreparedTable, run_many
 from .pipeline import STAGES, Pipeline, PipelineContext, RunResult
 from .registry import Anonymizer, algorithm_names, get_algorithm, register, run
-from .shard import (
-    ShardPiece,
-    assemble_publication,
-    lift_groups,
-    merge_pieces,
-    prepare_shard,
-    run_shard,
-)
+from .shard import ShardPiece, merge_pieces, prepare_shard, run_shard
 
 # Importing the adapters populates the registry.
 from . import algorithms  # noqa: E402,F401  # isort: skip
@@ -55,8 +48,6 @@ __all__ = [
     "PreparedTable",
     "run_many",
     "ShardPiece",
-    "assemble_publication",
-    "lift_groups",
     "merge_pieces",
     "prepare_shard",
     "run_shard",

@@ -1,30 +1,34 @@
-"""Shard-scoped engine entry points: prepare, run, lift, merge.
+"""Shard-scoped engine entry points: prepare, run, merge.
 
 The engine's public :func:`repro.engine.run` anonymizes a whole table;
-the parallel layer (PR 6) and the incremental-republication layer (this
-PR) both anonymize *one contiguous Hilbert-key shard at a time* and
-assemble whole-table publications from the per-shard group structure.
-This module is the single home of that shard-scoped contract, so the
-process-pool worker (:mod:`repro.parallel._worker`), the serial merge
+the parallel layer and the incremental-republication layer both
+anonymize *one contiguous Hilbert-key shard at a time* and assemble
+whole-table publications from the per-shard results.  This module is
+the single home of that shard-scoped contract, so the process-pool
+worker (:mod:`repro.parallel._worker`), the serial merge
 (:class:`repro.parallel.ShardedSession`) and the versioned refresh path
 (:mod:`repro.api.versioned`) all produce byte-identical pieces through
 one code path.
 
-A :class:`ShardPiece` is deliberately compact — shard-*local* member
-rows, per-EC boxes and SA histograms, never the shard table itself — so
-it is cheap to ship across a process boundary and cheap to keep in the
-:class:`repro.api.ArtifactCache` between appends.
+A :class:`ShardPiece` is a shard's publication in its columnar form —
+member rows, group offsets and (for generalizations) boxes, never the
+shard table itself — so it is cheap to ship across a process boundary
+and cheap to keep in the :class:`repro.api.ArtifactCache` between
+appends.  Lifting a piece to global row ids is one gather, and merging
+pieces is concatenation; the publication constructor then re-validates
+the whole partition and derives the histograms.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..anonymity.anatomy import AnatomyGroup, AnatomyTable
-from ..dataset.published import EquivalenceClass, GeneralizedTable
+from ..anonymity.anatomy import AnatomyTable
+from ..dataset.published import GeneralizedTable, group_offsets
 from ..dataset.table import Table
 from .batch import PreparedTable
 from .registry import run as engine_run
@@ -32,23 +36,24 @@ from .registry import run as engine_run
 
 @dataclass
 class ShardPiece:
-    """One shard's publication in compact, transportable form.
+    """One shard's publication in columnar, transportable form.
 
     Attributes:
         kind: ``"generalized"`` or ``"anatomy"`` — the only formats with
             a per-shard group structure to merge.
-        group_rows: Per group, member row indices *local to the shard*.
-        boxes: Per-group QI boxes (generalized only, else ``None``).
-        sa_counts: ``(G, m)`` stacked per-group SA histograms.
+        rows: Member rows, group after group — local to the shard as
+            :func:`run_shard` returns them, global once :meth:`lift`-ed.
+        offsets: ``(G + 1,)`` group boundaries in ``rows``.
+        boxes: ``(G, d, 2)`` QI boxes (generalized only, else ``None``).
         l: Anatomy's ℓ (``None`` for generalized).
         params: The engine's resolved parameters.
         stage_seconds / elapsed_seconds: The shard run's timings.
     """
 
     kind: str
-    group_rows: list
-    boxes: "list | None"
-    sa_counts: np.ndarray
+    rows: np.ndarray
+    offsets: np.ndarray
+    boxes: "np.ndarray | None"
     l: "int | None"
     params: dict
     stage_seconds: dict = field(default_factory=dict)
@@ -56,7 +61,21 @@ class ShardPiece:
 
     @property
     def n_groups(self) -> int:
-        return len(self.group_rows)
+        return self.offsets.shape[0] - 1
+
+    def lift(self, rows: np.ndarray) -> "ShardPiece":
+        """This piece with member rows mapped through ``rows``, the
+        shard's global row array; group order is preserved."""
+        return dataclasses.replace(self, rows=rows[self.rows])
+
+    def publication(self, table: Table):
+        """The piece as a publication over ``table`` — the shard table
+        for a local piece, the whole table for a merged one."""
+        if self.kind == "generalized":
+            return GeneralizedTable(table, self.rows, self.offsets, self.boxes)
+        if self.kind == "anatomy":
+            return AnatomyTable(table, self.rows, self.offsets, self.l)
+        raise ValueError(f"unknown shard publication kind {self.kind!r}")
 
 
 def prepare_shard(
@@ -109,15 +128,9 @@ def run_shard(
     )
     published = result.published
     if isinstance(published, GeneralizedTable):
-        kind, l = "generalized", None
-        group_rows = [ec.rows for ec in published.classes]
-        boxes = [ec.box for ec in published.classes]
-        sa_counts = np.stack([ec.sa_counts for ec in published.classes])
+        kind, l, boxes = "generalized", None, published.boxes
     elif isinstance(published, AnatomyTable):
-        kind, l = "anatomy", published.l
-        group_rows = [g.rows for g in published.groups]
-        boxes = None
-        sa_counts = np.stack([g.sa_counts for g in published.groups])
+        kind, l, boxes = "anatomy", published.l, None
     else:
         raise TypeError(
             f"algorithm {algorithm!r} publishes "
@@ -127,9 +140,9 @@ def run_shard(
         )
     return ShardPiece(
         kind=kind,
-        group_rows=group_rows,
+        rows=published.rows,
+        offsets=published.offsets,
         boxes=boxes,
-        sa_counts=sa_counts,
         l=l,
         params=result.params,
         stage_seconds=result.stage_seconds,
@@ -137,64 +150,30 @@ def run_shard(
     )
 
 
-def lift_groups(rows: np.ndarray, piece: ShardPiece) -> list:
-    """A shard piece's groups with member rows lifted to global ids.
+def merge_pieces(table: Table, pieces: "list[ShardPiece]"):
+    """Concatenate lifted shard pieces into a whole-table publication.
 
-    ``rows`` is the shard's global row array; group order is preserved.
-    The returned records are exactly what whole-table publication
-    constructors take, so lifted groups from several shards concatenate
-    directly (see :func:`assemble_publication`).
-    """
-    if piece.kind == "generalized":
-        return [
-            EquivalenceClass(
-                rows=rows[local],
-                box=piece.boxes[g],
-                sa_counts=piece.sa_counts[g],
-            )
-            for g, local in enumerate(piece.group_rows)
-        ]
-    if piece.kind == "anatomy":
-        return [
-            AnatomyGroup(rows=rows[local], sa_counts=piece.sa_counts[g])
-            for g, local in enumerate(piece.group_rows)
-        ]
-    raise ValueError(f"unknown shard publication kind {piece.kind!r}")
-
-
-def assemble_publication(
-    table: Table, kind: str, groups, l: "int | None" = None
-):
-    """A whole-table publication from already-lifted groups.
-
-    The publication constructors re-validate the exact row partition —
-    the merge's cheapest full correctness check — so a stale or
-    mis-lifted group set fails loudly here rather than corrupting an
-    audit downstream.
-    """
-    if kind == "generalized":
-        return GeneralizedTable(table, list(groups))
-    if kind == "anatomy":
-        return AnatomyTable(source=table, groups=tuple(groups), l=l)
-    raise ValueError(f"unknown shard publication kind {kind!r}")
-
-
-def merge_pieces(
-    table: Table, shard_rows, pieces: "list[ShardPiece]"
-):
-    """Concatenate shard pieces into a whole-table publication.
-
-    Shard-local member rows lift to global row ids through each shard's
-    ``rows`` array; group order is shard order (each shard's internal
-    group order preserved), which is also ascending Hilbert-range order
-    — the same locality the single-table materialization sweep produces.
+    Group order is shard order (each shard's internal group order
+    preserved), which is also ascending Hilbert-range order — the same
+    locality the single-table materialization sweep produces.  The
+    publication constructor re-validates the exact row partition — the
+    merge's cheapest full correctness check — so a stale or mis-lifted
+    piece fails loudly here rather than corrupting an audit downstream.
     """
     kinds = {piece.kind for piece in pieces}
     if len(kinds) != 1:
         raise ValueError(f"cannot merge mixed shard kinds {sorted(kinds)}")
-    groups = []
-    for rows, piece in zip(shard_rows, pieces):
-        groups.extend(lift_groups(rows, piece))
-    return assemble_publication(
-        table, pieces[0].kind, groups, l=pieces[0].l
+    first = pieces[0]
+    merged = dataclasses.replace(
+        first,
+        rows=np.concatenate([p.rows for p in pieces]),
+        offsets=group_offsets(
+            np.concatenate([np.diff(p.offsets) for p in pieces])
+        ),
+        boxes=(
+            np.concatenate([p.boxes for p in pieces])
+            if first.boxes is not None
+            else None
+        ),
     )
+    return merged.publication(table)

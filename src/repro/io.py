@@ -33,14 +33,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import uuid
 from pathlib import Path
 
 import numpy as np
 
-from .anonymity.anatomy import AnatomyGroup, AnatomyTable, BaselinePublication
+from .anonymity.anatomy import AnatomyTable, BaselinePublication
 from .core.perturb import PerturbationScheme, PerturbedTable
 from .dataset.display import describe_interval
-from .dataset.published import EquivalenceClass, GeneralizedTable
+from .dataset.published import GeneralizedTable
 from .dataset.schema import Attribute, AttributeKind, Schema, SensitiveAttribute
 from .dataset.table import Table
 from .hierarchy import Hierarchy, Node
@@ -379,26 +380,6 @@ def schema_from_spec(spec: dict) -> Schema:
     return Schema(qi, sensitive)
 
 
-def _pack_groups(groups: "list[np.ndarray]") -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate row-index groups into (flat rows, offsets) arrays."""
-    offsets = np.zeros(len(groups) + 1, dtype=np.int64)
-    np.cumsum([g.shape[0] for g in groups], out=offsets[1:])
-    flat = (
-        np.concatenate(groups)
-        if groups
-        else np.empty(0, dtype=np.int64)
-    )
-    return flat.astype(np.int64, copy=False), offsets
-
-
-def _unpack_groups(
-    flat: np.ndarray, offsets: np.ndarray
-) -> "list[np.ndarray]":
-    return [
-        flat[offsets[g] : offsets[g + 1]] for g in range(offsets.shape[0] - 1)
-    ]
-
-
 def publication_payload(published) -> tuple[dict, dict]:
     """Decompose a publication into JSON metadata plus numpy arrays.
 
@@ -406,7 +387,12 @@ def publication_payload(published) -> tuple[dict, dict]:
     perturbed, Anatomy, and the §6.3 Baseline.  The source table rides
     along (publications embed it, and the query estimators for exact-QI
     formats legitimately read the published QI values from it), so the
-    payload is self-contained.
+    payload is self-contained.  Group-based publications pass their
+    columnar arrays straight through: ``group_rows`` and
+    ``group_offsets`` are the publication's ``rows`` and ``offsets``,
+    and a generalization adds its ``boxes``.  The SA histograms and the
+    row→group map are derived from these on load, so they are not
+    stored.
 
     Returns:
         ``(meta, arrays)``: ``meta`` is JSON-serializable (``format``,
@@ -421,14 +407,11 @@ def publication_payload(published) -> tuple[dict, dict]:
     arrays: dict = {"qi": source.qi, "sa": source.sa}
     if isinstance(published, GeneralizedTable):
         meta["kind"] = "generalized"
-        flat, offsets = _pack_groups([ec.rows for ec in published.classes])
-        arrays["group_rows"] = flat
-        arrays["group_offsets"] = offsets
+        arrays["group_rows"] = published.rows
+        arrays["group_offsets"] = published.offsets
         # Boxes are stored, not recomputed: full-domain publications use
         # ladder intervals wider than the member rows' min/max span.
-        arrays["boxes"] = np.array(
-            [ec.box for ec in published.classes], dtype=np.int64
-        )
+        arrays["boxes"] = published.boxes
     elif isinstance(published, PerturbedTable):
         meta["kind"] = "perturbed"
         meta["c_lm"] = published.scheme.c_lm
@@ -445,9 +428,8 @@ def publication_payload(published) -> tuple[dict, dict]:
     elif isinstance(published, AnatomyTable):
         meta["kind"] = "anatomy"
         meta["l"] = published.l
-        flat, offsets = _pack_groups([g.rows for g in published.groups])
-        arrays["group_rows"] = flat
-        arrays["group_offsets"] = offsets
+        arrays["group_rows"] = published.rows
+        arrays["group_offsets"] = published.offsets
     elif isinstance(published, BaselinePublication):
         meta["kind"] = "baseline"
     else:
@@ -544,22 +526,10 @@ def publication_from_payload(meta: dict, arrays: dict):
     table = Table(schema, arrays["qi"], arrays["sa"])
     kind = meta["kind"]
     if kind == "generalized":
-        groups = _unpack_groups(arrays["group_rows"], arrays["group_offsets"])
-        boxes = arrays["boxes"]
-        m = table.sa_cardinality
-        classes = [
-            EquivalenceClass(
-                rows=rows,
-                box=tuple(
-                    (int(lo), int(hi)) for lo, hi in boxes[g]
-                ),
-                sa_counts=np.bincount(
-                    table.sa[rows], minlength=m
-                ).astype(np.int64),
-            )
-            for g, rows in enumerate(groups)
-        ]
-        return GeneralizedTable(table, classes)
+        return GeneralizedTable(
+            table, arrays["group_rows"], arrays["group_offsets"],
+            arrays["boxes"],
+        )
     if kind == "perturbed":
         scheme = PerturbationScheme(
             domain=arrays["domain"],
@@ -574,24 +544,22 @@ def publication_from_payload(meta: dict, arrays: dict):
             source=table, sa_perturbed=arrays["sa_perturbed"], scheme=scheme
         )
     if kind == "anatomy":
-        groups = _unpack_groups(arrays["group_rows"], arrays["group_offsets"])
-        m = table.sa_cardinality
         return AnatomyTable(
-            source=table,
-            groups=tuple(
-                AnatomyGroup(
-                    rows=rows,
-                    sa_counts=np.bincount(
-                        table.sa[rows], minlength=m
-                    ).astype(np.int64),
-                )
-                for rows in groups
-            ),
-            l=int(meta["l"]),
+            table, arrays["group_rows"], arrays["group_offsets"],
+            int(meta["l"]),
         )
     if kind == "baseline":
         return BaselinePublication(source=table)
     raise ValueError(f"unknown publication kind {kind!r}")
+
+
+def unique_sibling(path: Path) -> Path:
+    """A temporary name next to ``path`` that no other writer shares.
+
+    Writers land files as temp-name + rename; a per-call name keeps two
+    concurrent writers of one path from renaming each other's file away.
+    """
+    return path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
 
 
 def write_publication_payload(
@@ -601,11 +569,12 @@ def write_publication_payload(
 
     The JSON metadata travels inside the archive as a ``meta`` entry, so
     a single file is a complete, losslessly restorable publication.  The
-    archive is written to a temporary sibling and moved into place, so a
-    ``path`` that exists is always a complete archive.
+    archive is written to a uniquely named temporary sibling and moved
+    into place, so a ``path`` that exists is always a complete archive,
+    even with several writers of the same path.
     """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = unique_sibling(path)
     with tmp.open("wb") as handle:
         np.savez(
             handle,

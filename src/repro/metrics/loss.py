@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from ..dataset.published import EquivalenceClass, GeneralizedTable
 from ..dataset.schema import AttributeKind, Schema
 
@@ -43,6 +41,14 @@ def il_class(
     weights: Sequence[float] | None = None,
 ) -> float:
     """Total information loss ``IL(G)`` of one EC (Eq. 4)."""
+    return _il_box(schema, ec.box, weights)
+
+
+def _il_box(
+    schema: Schema,
+    box: Sequence[Sequence[int]],
+    weights: Sequence[float] | None = None,
+) -> float:
     d = schema.n_qi
     if weights is None:
         weights = [1.0 / d] * d
@@ -51,7 +57,7 @@ def il_class(
     return float(
         sum(
             w * il_attribute(schema, j, lo, hi)
-            for j, (w, (lo, hi)) in enumerate(zip(weights, ec.box))
+            for j, (w, (lo, hi)) in enumerate(zip(weights, box))
         )
     )
 
@@ -61,17 +67,19 @@ def average_information_loss(
 ) -> float:
     """``AIL`` over a published table (Eq. 5)."""
     total = sum(
-        ec.size * il_class(published.schema, ec, weights) for ec in published
+        size * _il_box(published.schema, box, weights)
+        for size, box in zip(
+            published.sizes.tolist(), published.boxes.tolist()
+        )
     )
     return float(total / published.n_rows)
 
 
 def discernibility(published: GeneralizedTable) -> float:
     """Discernibility metric: ``sum_G |G|^2`` (extra utility diagnostic)."""
-    return float(sum(ec.size**2 for ec in published))
+    return float((published.sizes**2).sum())
 
 
 def average_class_size(published: GeneralizedTable) -> float:
     """Mean EC size (extra utility diagnostic)."""
-    sizes = np.array([ec.size for ec in published])
-    return float(sizes.mean())
+    return float(published.sizes.mean())

@@ -60,25 +60,12 @@ class RiskProfile:
         )
 
 
-def _check_coverage(out: np.ndarray, what: str) -> np.ndarray:
-    # Both risk vectors are probabilities in (0, 1]; a negative entry is
-    # the -1 sentinel of a row no EC covered.  np.empty here used to
-    # hand such rows uninitialized garbage risks.
-    uncovered = int(np.count_nonzero(out < 0))
-    if uncovered:
-        raise ValueError(
-            f"publication's ECs do not cover the table: {uncovered} rows "
-            f"have no {what}"
-        )
-    return out
-
-
 def reidentification_risks(published: GeneralizedTable) -> np.ndarray:
     """Per-tuple prosecutor risk ``1 / |G|`` over the source row order."""
     out = np.full(published.n_rows, -1.0)
     for ec in published:
         out[ec.rows] = 1.0 / ec.size
-    return _check_coverage(out, "re-identification risk")
+    return out
 
 
 def attribute_disclosure_risks(published: GeneralizedTable) -> np.ndarray:
@@ -88,7 +75,7 @@ def attribute_disclosure_risks(published: GeneralizedTable) -> np.ndarray:
     for ec in published:
         dist = ec.sa_distribution()
         out[ec.rows] = dist[table.sa[ec.rows]]
-    return _check_coverage(out, "attribute-disclosure risk")
+    return out
 
 
 def risk_profile(

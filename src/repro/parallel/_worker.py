@@ -7,6 +7,12 @@ fallback (the executor passes the in-process shard table instead of a
 shared-memory handle), which is what makes serial and pooled execution
 byte-identical: one code path, two transports.
 
+Shards are anonymized and evaluated here; the audit is not: a merged
+publication already carries its membership and SA histograms, so the
+parent builds its audit view directly.  Shard publications travel as
+columnar :class:`~repro.engine.shard.ShardPiece` arrays in both
+directions.
+
 Per-process caches mirror the parent's content-digest discipline: shard
 tables are memoized by ``(table digest, shard index)``, serving
 artifacts live in a process-local :class:`repro.api.ArtifactCache`
@@ -20,19 +26,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..anonymity.anatomy import AnatomyGroup, AnatomyTable
-from ..audit.metrics import (
-    per_class_distinct,
-    per_class_emd,
-    per_class_gains,
-    per_class_log_ratios,
-)
-from ..audit.view import synthesize_view
-from ..dataset.published import EquivalenceClass, GeneralizedTable
 from ..dataset.table import Table
 from ..engine.batch import PreparedTable
 from ..engine.registry import run as engine_run
-from ..engine.shard import ShardPiece, prepare_shard, run_shard
+from ..engine.shard import ShardPiece, run_shard
 from ..io import publication_from_payload
 from ..query.evaluate import answer_precise_batch, batch_estimates
 from ..query.workload import EncodedWorkload
@@ -114,13 +111,6 @@ def _resolve_shard(source, rows, shard_index):
     return table, keys
 
 
-# Shard preprocessing with the anonymization-time ``P`` pre-seeded; the
-# logic (and its adversary-model rationale) lives in the engine's
-# shard-scoped entry points now — this alias keeps the worker's historic
-# name importable.
-_prepared = prepare_shard
-
-
 # ----------------------------------------------------------------------
 # Anonymization
 # ----------------------------------------------------------------------
@@ -136,14 +126,13 @@ def shard_anonymize(
     probs,
     telemetry=None,
 ) -> ShardPiece:
-    """Run one shard's pipeline; return the publication in compact form.
+    """Run one shard's pipeline; return the publication in columnar form.
 
     A thin transport adapter over :func:`repro.engine.shard.run_shard`:
     resolve the shard table from the active transport, spawn the shard's
-    generator, run.  The piece ships row *indices local to the shard*
-    plus the per-EC boxes and SA histograms — never the shard table
-    itself — so the transfer back to the parent is a few percent of the
-    table size.
+    generator, run.  The piece ships row *indices local to the shard*,
+    the group offsets and the boxes — never the shard table itself — so
+    the transfer back to the parent is a few percent of the table size.
     """
     table, keys = _resolve_shard(source, rows, shard_index)
     rng = np.random.default_rng(seed_seq) if seed_seq is not None else None
@@ -159,94 +148,20 @@ def shard_anonymize(
 
 
 # ----------------------------------------------------------------------
-# Audit
-# ----------------------------------------------------------------------
-
-
-def shard_audit(
-    source,
-    rows,
-    shard_index: int,
-    group_rows,
-    probs,
-    ordered_emd: bool,
-    telemetry=None,
-) -> dict:
-    """One shard's audit arrays: membership, histograms, per-class vectors.
-
-    The per-class kernels in :mod:`repro.audit.metrics` are row-wise
-    over the ``(G, m)`` distribution matrix, so vectors computed here —
-    against the **global** ``P`` — equal the corresponding rows of the
-    merged publication's vectors bit for bit; the parent concatenates
-    them in shard order and applies the same final reductions.
-    """
-    from ..obs import coerce_telemetry
-
-    table, _ = _resolve_shard(source, rows, shard_index)
-    with coerce_telemetry(telemetry).span("shard.audit", rows=table.n_rows):
-        n, m = table.n_rows, table.sa_cardinality
-        class_of = np.full(n, -1, dtype=np.int64)
-        for g, members in enumerate(group_rows):
-            class_of[members] = g
-        if np.any(class_of < 0):
-            raise ValueError("shard groups do not partition the shard rows")
-        n_groups = len(group_rows)
-        counts = np.bincount(
-            class_of * m + table.sa, minlength=n_groups * m
-        ).reshape(n_groups, m)
-        view = synthesize_view(
-            table, class_of, counts, global_distribution=probs
-        )
-        return {
-            "shard": shard_index,
-            "class_of": class_of,
-            "counts": counts,
-            "gains": per_class_gains(view),
-            "emd": per_class_emd(view, ordered_emd),
-            "log_ratios": per_class_log_ratios(view),
-            "distinct": per_class_distinct(view),
-        }
-
-
-# ----------------------------------------------------------------------
 # Workload evaluation
 # ----------------------------------------------------------------------
-
-
-def _rebuild_publication(table: Table, pieces: dict):
-    """The shard publication object back from its compact form."""
-    if pieces["kind"] == "generalized":
-        classes = [
-            EquivalenceClass(
-                rows=rows, box=box, sa_counts=pieces["sa_counts"][g]
-            )
-            for g, (rows, box) in enumerate(
-                zip(pieces["group_rows"], pieces["boxes"])
-            )
-        ]
-        return GeneralizedTable(table, classes)
-    if pieces["kind"] == "anatomy":
-        return AnatomyTable(
-            source=table,
-            groups=tuple(
-                AnatomyGroup(rows=rows, sa_counts=pieces["sa_counts"][g])
-                for g, rows in enumerate(pieces["group_rows"])
-            ),
-            l=pieces["l"],
-        )
-    raise ValueError(f"unknown shard publication kind {pieces['kind']!r}")
 
 
 def shard_evaluate(
     source,
     rows,
     shard_index: int,
-    pieces: dict | None,
+    piece: "ShardPiece | None",
     enc: EncodedWorkload,
     telemetry=None,
 ) -> dict:
-    """Precise COUNTs (and estimates, if a publication is given) of one
-    shard.
+    """Precise COUNTs (and estimates, if a shard-local piece is given)
+    of one shard.
 
     Ranges partition by rows, so per-query precise counts and estimator
     sums are additive across shards; the parent folds them in shard
@@ -265,8 +180,8 @@ def shard_evaluate(
             "shard": shard_index,
             "precise": answer_precise_batch(table, enc, artifacts=cache),
         }
-        if pieces is not None:
-            publication = _rebuild_publication(table, pieces)
+        if piece is not None:
+            publication = piece.publication(table)
             out["estimates"] = batch_estimates(
                 table, {"shard": publication}, enc, artifacts=cache
             )["shard"]
@@ -294,11 +209,7 @@ def _strip_source(published):
     """
     from ..io import table_digest
 
-    marker = _DetachedSource(table_digest(published.source))
-    if isinstance(published, GeneralizedTable):
-        published.source = marker
-    else:  # dataclass formats: Anatomy / Perturbed / Baseline
-        published.source = marker
+    published.source = _DetachedSource(table_digest(published.source))
     return published
 
 

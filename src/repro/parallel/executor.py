@@ -1,10 +1,12 @@
 """The sharded execution session: plan, fan out, merge deterministically.
 
 :class:`ShardedSession` partitions a table into contiguous Hilbert-key
-ranges (:class:`~repro.parallel.plan.ShardPlan`), runs anonymization,
-audit metrics and workload evaluation per shard — in a
-``ProcessPoolExecutor`` when ``workers > 1``, inline when ``workers ==
-1`` — and merges the shard results into whole-table outputs.
+ranges (:class:`~repro.parallel.plan.ShardPlan`), runs anonymization
+and workload evaluation per shard — in a ``ProcessPoolExecutor`` when
+``workers > 1``, inline when ``workers == 1`` — and merges the shard
+results into whole-table outputs.  The audit runs in the parent: the
+merged publication already carries its membership and SA histograms,
+so its view costs no shard work.
 
 The merge is **scheduling-independent**: results are collected per
 shard index and folded in ascending shard order, per-shard randomness
@@ -33,12 +35,11 @@ from multiprocessing import resource_tracker
 import numpy as np
 
 from ..audit.evaluate import AuditReport, _audit_publications
-from ..audit.view import PublicationView, merge_shard_views
-from ..dataset.published import GeneralizedTable
+from ..audit.view import PublicationView, publication_view
 from ..dataset.table import Table
 from ..engine.batch import EngineJob, PreparedTable
 from ..engine.pipeline import STAGES, RunResult
-from ..engine.shard import merge_pieces
+from ..engine.shard import ShardPiece, merge_pieces
 from ..metrics.errors import ErrorProfile, error_profile
 from ..obs import coerce_telemetry
 from ..query.workload import EncodedWorkload
@@ -61,7 +62,7 @@ def _merge_stage_seconds(pieces) -> dict:
 
 class ShardedRun:
     """One merged sharded anonymization: the whole-table publication plus
-    the per-shard group structure later stages (audit, evaluate) reuse.
+    the shard-local pieces later stages (evaluate, refresh) reuse.
 
     Mirrors the result surface of
     :class:`~repro.api.dataset.AnonymizationRun` (``published``,
@@ -70,20 +71,16 @@ class ShardedRun:
     """
 
     def __init__(self, session: "ShardedSession", result: RunResult,
-                 shard_groups: "list[list[np.ndarray]]",
-                 seed: "int | None" = None, pieces=None):
+                 pieces: "list[ShardPiece]", seed: "int | None" = None):
         self.session = session
         self.result = result
         self.seed = seed
-        #: Per shard, the group member rows *local to the shard* — the
-        #: exact arrays the shard's pipeline produced, reused verbatim by
-        #: sharded audit and evaluation so no stage re-derives membership.
-        self._shard_groups = shard_groups
-        #: The raw :class:`repro.engine.shard.ShardPiece` records; the
-        #: versioned dataset layer snapshots them into per-shard cache
-        #: artifacts so later appends only recompute dirty shards.
+        #: Per shard, the :class:`repro.engine.shard.ShardPiece` its
+        #: pipeline produced (rows local to the shard); sharded
+        #: evaluation ships them back to the workers, and the versioned
+        #: dataset layer snapshots the merged publication's slices of
+        #: them as per-shard cache artifacts.
         self._pieces = pieces
-        self._view: PublicationView | None = None
 
     # -- result passthroughs (AnonymizationRun-compatible) -------------
 
@@ -121,13 +118,11 @@ class ShardedRun:
     # -- the chain ------------------------------------------------------
 
     def view(self) -> PublicationView:
-        """The merged audit view (built shard-parallel on first use)."""
-        if self._view is None:
-            self._view = self.session._merged_view(self)
-        return self._view
+        """The merged publication's audit view (session-cached)."""
+        return publication_view(self.published, cache=self.session.cache)
 
     def audit(self, **kwargs) -> AuditReport:
-        """Audit the merged publication (shard-parallel metrics)."""
+        """Audit the merged publication."""
         return self.session.audit(self, **kwargs)
 
     def evaluate(self, queries) -> ErrorProfile:
@@ -138,7 +133,6 @@ class ShardedRun:
         """Check the merged publication against a privacy contract."""
         from ..service.store import certify_publication
 
-        self.view()  # seeds the session cache with the merged view
         return certify_publication(
             self.published, requirement, ordered_emd=ordered_emd,
             cache=self.session.cache,
@@ -151,7 +145,6 @@ class ShardedRun:
         ``name`` and ``parent`` thread version lineage into the store
         manifest (see :meth:`repro.service.PublicationStore.put`).
         """
-        self.view()  # certification reuses the shard-merged audit view
         return store.put(
             self.published,
             requirement=requirement,
@@ -377,11 +370,12 @@ class ShardedSession:
             ],
             span_name="parallel.anonymize",
         )
-        # merge_pieces lifts shard-local rows to global ids; the
-        # publication constructor re-validates the exact row partition —
-        # the merge's cheapest full correctness check.
+        # The publication constructor re-validates the exact row
+        # partition of the lifted pieces — the merge's cheapest full
+        # correctness check.
         published = merge_pieces(
-            self.table, [shard.rows for shard in plan], pieces
+            self.table,
+            [piece.lift(shard.rows) for shard, piece in zip(plan, pieces)],
         )
         provenance = {
             "sharded": {
@@ -408,63 +402,11 @@ class ShardedSession:
             provenance=provenance,
             elapsed_seconds=time.perf_counter() - start,
         )
-        return ShardedRun(
-            self, result, [p.group_rows for p in pieces], seed=seed,
-            pieces=pieces,
-        )
+        return ShardedRun(self, result, pieces, seed=seed)
 
     # ------------------------------------------------------------------
     # Audit
     # ------------------------------------------------------------------
-
-    def _merged_view(
-        self, run: ShardedRun, ordered_emd: bool = False
-    ) -> PublicationView:
-        """The merged publication's audit view, built shard-parallel.
-
-        Workers compute per-shard membership, group×SA histograms and
-        the four per-class metric vectors against the global ``P``; the
-        parent scatters membership into global row order, stacks the
-        histograms and pre-populates the view's metric memo with the
-        concatenated vectors.  Because the metric kernels are row-wise
-        over the ``(G, m)`` distributions, the result is bit-identical
-        to building the view directly from the merged publication.
-        """
-        results = self._map(
-            _worker.shard_audit,
-            [
-                (run._shard_groups[i], self._probs, ordered_emd)
-                for i in range(self.plan.n_shards)
-            ],
-            span_name="parallel.audit",
-        )
-        memo = {
-            "gains": np.concatenate([r["gains"] for r in results]),
-            ("emd", ordered_emd): np.concatenate(
-                [r["emd"] for r in results]
-            ),
-            "log_ratios": np.concatenate(
-                [r["log_ratios"] for r in results]
-            ),
-            "distinct": np.concatenate([r["distinct"] for r in results]),
-        }
-        view = merge_shard_views(
-            self.table,
-            [shard.rows for shard in self.plan],
-            [res["class_of"] for res in results],
-            [res["counts"] for res in results],
-            boxes=PublicationView._extract_boxes(run.published),
-            global_distribution=self._probs,
-            memo=memo,
-        )
-        # Seed the session cache under the publication's content key, so
-        # every downstream consumer — _audit_publications, the store's
-        # certification gate, facade audits — finds this view instead of
-        # rebuilding one.
-        self.cache.put(
-            ("view", self.cache.publication_key(run.published)), view
-        )
-        return view
 
     def audit(
         self,
@@ -476,14 +418,10 @@ class ShardedSession:
     ) -> AuditReport:
         """Audit a sharded run's merged publication.
 
-        Metric vectors come from the shard-parallel merged view; the
-        final reductions (and any requested attacks) run in the parent
-        through the standard audit entry point, so the report is
-        byte-identical to auditing the merged publication directly.
+        The merged publication carries its membership and SA
+        histograms, so the audit runs in the parent through the
+        standard entry point, on the session-cached view.
         """
-        view = run._view
-        if view is None or ("emd", ordered_emd) not in view.memo:
-            run._view = self._merged_view(run, ordered_emd)
         return _audit_publications(
             self.table,
             {"run": run.published},
@@ -528,10 +466,9 @@ class ShardedSession:
         (and the precise counts equal the unsharded answers exactly).
         """
         enc = self._encode(queries)
-        pieces = self._eval_pieces(run)
         results = self._map(
             _worker.shard_evaluate,
-            [(pieces[i], enc) for i in range(self.plan.n_shards)],
+            [(piece, enc) for piece in run._pieces],
             span_name="parallel.evaluate",
         )
         precise = np.sum([res["precise"] for res in results], axis=0)
@@ -543,39 +480,6 @@ class ShardedSession:
     def evaluate(self, run: ShardedRun, queries) -> ErrorProfile:
         """Workload error of a sharded run (see :meth:`answers`)."""
         return error_profile(*self.answers(run, queries))
-
-    def _eval_pieces(self, run: ShardedRun) -> "list[dict]":
-        """Compact per-shard publication slices for the eval workers."""
-        published = run.published
-        pieces = []
-        offset = 0
-        for i, groups in enumerate(run._shard_groups):
-            n_groups = len(groups)
-            piece = {"group_rows": groups}
-            if isinstance(published, GeneralizedTable):
-                piece["kind"] = "generalized"
-                piece["boxes"] = [
-                    published.classes[offset + g].box
-                    for g in range(n_groups)
-                ]
-                piece["sa_counts"] = np.stack(
-                    [
-                        published.classes[offset + g].sa_counts
-                        for g in range(n_groups)
-                    ]
-                )
-            else:
-                piece["kind"] = "anatomy"
-                piece["l"] = published.l
-                piece["sa_counts"] = np.stack(
-                    [
-                        published.groups[offset + g].sa_counts
-                        for g in range(n_groups)
-                    ]
-                )
-            offset += n_groups
-            pieces.append(piece)
-        return pieces
 
     # ------------------------------------------------------------------
     # Job-level parallelism (sweeps)

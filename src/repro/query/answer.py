@@ -98,10 +98,9 @@ class GeneralizedAnswerer:
 
     def __init__(self, published: GeneralizedTable):
         self.published = published
-        boxes = np.array([ec.box for ec in published], dtype=np.int64)
-        self.box_lo = boxes[:, :, 0]  # (E, d)
-        self.box_hi = boxes[:, :, 1]
-        counts = np.stack([ec.sa_counts for ec in published])  # (E, m)
+        self.box_lo = published.boxes[:, :, 0]  # (E, d)
+        self.box_hi = published.boxes[:, :, 1]
+        counts = published.sa_counts  # (E, m)
         self.sa_prefix = np.concatenate(
             [np.zeros((counts.shape[0], 1), dtype=np.int64),
              np.cumsum(counts, axis=1)],
@@ -300,29 +299,21 @@ class AnatomyAnswerer:
     """
 
     def __init__(self, published):
-        from .cube import anatomy_group_of
-
         self.published = published
-        # -1-initialized + coverage-checked: rows an ill-formed
-        # publication fails to cover must not silently inherit garbage
-        # group ids (they would corrupt every estimate).
-        self.group_of = anatomy_group_of(published)
-        counts = np.stack([group.sa_counts for group in published.groups])
-        sizes = np.array([group.size for group in published.groups])
-        distributions = counts / sizes[:, None]
-        self.sa_prefix = np.concatenate(  # (G, m + 1)
-            [
-                np.zeros((len(published.groups), 1)),
-                np.cumsum(distributions, axis=1),
-            ],
-            axis=1,
+        # The publication validated its partition at construction, so
+        # every row carries a real group id.
+        self.group_of = published.class_of
+        distributions = published.sa_counts / published.sizes[:, None]
+        self.sa_prefix = np.zeros(  # (G, m + 1)
+            (published.n_groups, distributions.shape[1] + 1)
         )
+        np.cumsum(distributions, axis=1, out=self.sa_prefix[:, 1:])
 
     def __call__(self, query: CountQuery) -> float:
         mask = qi_mask(self.published.source, query)
         lo, hi = query.sa_range
         counts = np.bincount(
-            self.group_of[mask], minlength=len(self.published.groups)
+            self.group_of[mask], minlength=self.published.n_groups
         )
         fractions = self.sa_prefix[:, hi + 1] - self.sa_prefix[:, lo]
         return float((counts * fractions).sum())
@@ -358,7 +349,7 @@ class AnatomyAnswerer:
         if isinstance(queries, EncodedWorkload):
             queries = queries.queries
         source = self.published.source
-        n_groups = len(self.published.groups)
+        n_groups = self.published.n_groups
         out = np.empty(len(queries))
         for i, query in enumerate(queries):
             mask = masks[i] if masks is not None else qi_mask(source, query)

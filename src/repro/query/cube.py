@@ -363,21 +363,6 @@ def build_payload_cube(
     )
 
 
-def anatomy_group_of(published: AnatomyTable) -> np.ndarray:
-    """Row → group-id map of an Anatomy publication, coverage-checked."""
-    table = published.source
-    group_of = np.full(table.n_rows, -1, dtype=np.int64)
-    for g, group in enumerate(published.groups):
-        group_of[group.rows] = g
-    uncovered = int(np.count_nonzero(group_of < 0))
-    if uncovered:
-        raise ValueError(
-            f"anatomy publication does not cover its source table: "
-            f"{uncovered} of {table.n_rows} rows belong to no group"
-        )
-    return group_of
-
-
 @dataclass
 class CountCube:
     """The cube backend's serving state for one publication.
@@ -501,14 +486,13 @@ def build_measure_cube(
         )
     elif isinstance(published, AnatomyTable):
         kind = "anatomy"
-        if published.groups:
-            payload_cube = build_payload_cube(
-                table,
-                anatomy_group_of(published),
-                len(published.groups),
-                budget,
-                weights=measure,
-            )
+        payload_cube = build_payload_cube(
+            table,
+            published.class_of,
+            published.n_groups,
+            budget,
+            weights=measure,
+        )
     elif isinstance(published, GeneralizedTable):
         kind = "generalized"
     elif isinstance(published, BaselinePublication):
@@ -541,13 +525,9 @@ def build_count_cube(
         )
     elif isinstance(published, AnatomyTable):
         kind = "anatomy"
-        if published.groups:
-            payload_cube = build_payload_cube(
-                table,
-                anatomy_group_of(published),
-                len(published.groups),
-                budget,
-            )
+        payload_cube = build_payload_cube(
+            table, published.class_of, published.n_groups, budget
+        )
     elif isinstance(published, GeneralizedTable):
         kind = "generalized"
     elif isinstance(published, BaselinePublication):

@@ -32,18 +32,19 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from ..anonymity.anatomy import AnatomyTable, BaselinePublication
+from ..anonymity.anatomy import BaselinePublication
 from ..audit.evaluate import _audit_publications
 from ..audit.view import publication_view
 from ..core.model import BetaLikeness
 from ..core.perturb import PerturbationScheme, PerturbedTable
-from ..dataset.published import GeneralizedTable
+from ..dataset.published import GroupedPublication
 from ..dataset.table import Table
 from ..io import (
     content_digest,
     publication_from_payload,
     publication_payload,
     read_publication_payload,
+    unique_sibling,
     write_publication_payload,
 )
 from ..query.cube import CountCube, build_count_cube
@@ -242,7 +243,7 @@ def certify_publication(
     requirement = _check_requirement(requirement)
     if "ordered" in requirement:
         ordered_emd = bool(requirement["ordered"])
-    if isinstance(published, (GeneralizedTable, AnatomyTable)):
+    if isinstance(published, GroupedPublication):
         return _certify_grouped(
             published, requirement, ordered_emd=ordered_emd, cache=cache
         )
@@ -395,11 +396,11 @@ class PublicationStore:
             # lookups (views, answerers) key it without re-hashing.
             published._content_digest = digest
         directory = self._objects / digest
-        n_groups = None
-        if isinstance(published, GeneralizedTable):
-            n_groups = len(published.classes)
-        elif isinstance(published, AnatomyTable):
-            n_groups = len(published.groups)
+        n_groups = (
+            published.n_groups
+            if isinstance(published, GroupedPublication)
+            else None
+        )
         manifest = {
             "format": meta["format"],
             "id": digest,
@@ -428,9 +429,11 @@ class PublicationStore:
                 meta["aux_cube"] = cube_meta
                 arrays.update(cube_arrays)
         directory.mkdir(parents=True, exist_ok=True)
-        # Both files land via temp-name + rename, so whatever exists is
-        # complete: a crash mid-write leaves only a .tmp sibling, and a
-        # payload that survived an earlier admission can be trusted.
+        # Both files land via a unique temp name + rename, so whatever
+        # exists is complete: a crash mid-write leaves only a .tmp
+        # sibling, concurrent admissions of one publication never move
+        # each other's temp files, and a payload that survived an
+        # earlier admission can be trusted.
         payload_path = directory / "payload.npz"
         needs_payload = not payload_path.exists()
         if not needs_payload and count_cube is not None:
@@ -443,9 +446,10 @@ class PublicationStore:
         if needs_payload:
             write_publication_payload(meta, arrays, payload_path)
         # Manifest is written last: its presence marks a complete object.
-        manifest_tmp = directory / "manifest.json.tmp"
+        manifest_path = directory / "manifest.json"
+        manifest_tmp = unique_sibling(manifest_path)
         manifest_tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        manifest_tmp.replace(directory / "manifest.json")
+        manifest_tmp.replace(manifest_path)
         return PublicationRecord.from_manifest(manifest)
 
     # ------------------------------------------------------------------

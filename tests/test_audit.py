@@ -28,7 +28,6 @@ from repro.attacks import (
 )
 from repro.core import burel
 from repro.dataset import make_census, publish
-from repro.dataset.published import make_equivalence_class
 
 
 @pytest.fixture(scope="module")
@@ -56,35 +55,18 @@ def _scalar_form(table, published):
     return published
 
 
-class _PartialPublication:
-    """A duck-typed publication whose ECs miss some source rows —
-    the uncovered-row bug class (cannot be built via GeneralizedTable,
-    whose constructor validates the partition)."""
-
-    def __init__(self, source, row_groups):
-        self.source = source
-        self.schema = source.schema
-        self.classes = tuple(
-            make_equivalence_class(source, rows) for rows in row_groups
-        )
-
-    @property
-    def n_rows(self):
-        return self.source.n_rows
-
-    def __iter__(self):
-        return iter(self.classes)
-
-    def __len__(self):
-        return len(self.classes)
+def _partial_publication(source):
+    """A publication whose ECs miss some source rows — the uncovered-row
+    bug class.  The publication constructor validates the partition, so
+    building it raises."""
+    return publish(source, [np.array([0, 1]), np.array([2, 3])])
 
 
 @pytest.fixture()
-def partial_publication(patients):
-    """Covers rows 0..3 of the 6-row patients table; 4 and 5 uncovered."""
-    return _PartialPublication(
-        patients, [np.array([0, 1]), np.array([2, 3])]
-    )
+def build_partial(patients):
+    """Builds ECs over rows 0..3 of the 6-row patients table; rows 4 and
+    5 are uncovered, so the build raises."""
+    return lambda: _partial_publication(patients)
 
 
 # ----------------------------------------------------------------------
@@ -117,9 +99,9 @@ class TestPublicationView:
         assert view.boxes is None
         assert view.sizes.sum() == view.source.n_rows
 
-    def test_uncovered_rows_rejected(self, partial_publication):
-        with pytest.raises(ValueError, match="uncovered"):
-            audit.PublicationView(partial_publication)
+    def test_uncovered_rows_rejected(self, build_partial):
+        with pytest.raises(ValueError, match="cover 4 rows but the table has 6"):
+            audit.PublicationView(build_partial())
 
     def test_unsupported_type_rejected(self):
         with pytest.raises(TypeError):
@@ -365,33 +347,33 @@ class TestAuditPublications:
 
 
 class TestUncoveredRowRegressions:
-    def test_composition_rejects_partial_coverage(
-        self, patients, partial_publication
-    ):
+    def test_composition_rejects_partial_coverage(self, patients, build_partial):
         # Pre-fix, rows 4 and 5 carried np.empty garbage class ids and
-        # silently corrupted the pair posteriors.
+        # silently corrupted the pair posteriors; now the partial
+        # publication cannot be built, in either argument position.
         full = publish(patients, [np.arange(3), np.arange(3, 6)])
-        with pytest.raises(ValueError, match="do not cover"):
-            composition_attack(partial_publication, full)
-        with pytest.raises(ValueError, match="do not cover"):
-            composition_attack(full, partial_publication)
+        with pytest.raises(ValueError, match="cover 4 rows"):
+            composition_attack(build_partial(), full)
+        with pytest.raises(ValueError, match="cover 4 rows"):
+            composition_attack(full, build_partial())
 
-    def test_risk_vectors_reject_partial_coverage(self, partial_publication):
-        with pytest.raises(ValueError, match="do not cover"):
-            scalar_metrics.reidentification_risks(partial_publication)
-        with pytest.raises(ValueError, match="do not cover"):
-            scalar_metrics.attribute_disclosure_risks(partial_publication)
+    def test_risk_vectors_reject_partial_coverage(self, build_partial):
+        with pytest.raises(ValueError, match="cover 4 rows"):
+            scalar_metrics.reidentification_risks(build_partial())
+        with pytest.raises(ValueError, match="cover 4 rows"):
+            scalar_metrics.attribute_disclosure_risks(build_partial())
 
     def test_definetti_rejects_partial_coverage(self, patients):
-        # A GeneralizedTable cannot be built with missing rows, so drive
-        # the validation through a structurally valid object whose
-        # classes were truncated after construction.
+        # Classes can no longer be truncated after construction, and a
+        # publication of the first class alone fails the constructor's
+        # partition check before the attack sees it.
         full = publish(patients, [np.arange(3), np.arange(3, 6)])
-        full.classes = full.classes[:1]
-        with pytest.raises(ValueError, match="exactly once"):
-            definetti_attack(full)
-        with pytest.raises(ValueError, match="exactly once"):
-            random_assignment_baseline(full)
+        with pytest.raises(AttributeError):
+            full.classes = full.classes[:1]
+        with pytest.raises(ValueError, match="cover 3 rows"):
+            definetti_attack(publish(patients, [np.arange(3)]))
+        with pytest.raises(ValueError, match="cover 3 rows"):
+            random_assignment_baseline(publish(patients, [np.arange(3)]))
 
 
 class TestCorruptionRngContract:

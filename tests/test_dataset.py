@@ -14,7 +14,8 @@ from repro.dataset import (
     make_equivalence_class,
     publish,
 )
-from repro.dataset.published import EquivalenceClass, GeneralizedTable
+from repro.anonymity.anatomy import AnatomyTable
+from repro.dataset.published import GeneralizedTable, concat_groups
 from repro.hierarchy import Hierarchy
 
 
@@ -221,37 +222,76 @@ class TestPublishOracle:
 
 
 class TestPartitionCheck:
-    """``GeneralizedTable`` accepts exactly the partitions of its rows."""
+    """The columnar constructor accepts exactly the partitions of its
+    source rows.  Both group-based kinds share it: this class checks
+    ``GeneralizedTable``, :class:`TestAnatomyPartitionCheck` reruns every
+    case on ``AnatomyTable``."""
 
     @pytest.fixture(scope="class")
     def table(self):
         return make_census(100, seed=7)
 
     @staticmethod
-    def _classes(table, groups):
-        return [make_equivalence_class(table, g) for g in groups]
+    def build(table, groups):
+        rows, offsets = concat_groups([np.asarray(g) for g in groups])
+        boxes = np.zeros((len(groups), table.schema.n_qi, 2), dtype=np.int64)
+        return GeneralizedTable(table, rows, offsets, boxes)
 
     def test_valid_partition_accepted(self, table, rng):
         groups = _random_groups(rng, 100, 9)
-        published = GeneralizedTable(table, self._classes(table, groups))
+        published = self.build(table, groups)
         assert len(published) == 9
+        assert np.array_equal(
+            published.sa_counts.sum(axis=1), [g.shape[0] for g in groups]
+        )
+        for g, rows in enumerate(groups):
+            assert np.all(published.class_of[rows] == g)
 
     def test_out_of_range_row_rejected(self, table):
         # Row 150 stands in for row 99: 100 rows, none repeated.
-        ec = make_equivalence_class(table, np.arange(99))
-        stray = EquivalenceClass(
-            rows=np.array([150]), box=ec.box, sa_counts=ec.sa_counts
-        )
         with pytest.raises(ValueError, match="lie in"):
-            GeneralizedTable(table, [ec, stray])
+            self.build(table, [np.arange(99), np.array([150])])
 
     def test_negative_row_rejected(self, table):
         # Row -1 would wrap around to row 99 under numpy indexing.
         groups = [np.arange(50), np.concatenate([[-1], np.arange(50, 99)])]
         with pytest.raises(ValueError, match="lie in"):
-            GeneralizedTable(table, self._classes(table, groups))
+            self.build(table, groups)
 
     def test_duplicated_row_rejected(self, table):
         groups = [np.arange(50), np.arange(49, 99)]
         with pytest.raises(ValueError, match="partition"):
-            GeneralizedTable(table, self._classes(table, groups))
+            self.build(table, groups)
+
+    def test_uncovered_row_rejected(self, table):
+        with pytest.raises(ValueError, match="cover 99 rows"):
+            self.build(table, [np.arange(50), np.arange(50, 99)])
+
+    def test_shared_rows_rejected(self, table):
+        # 110 memberships over 100 rows: two groups share rows 50..59.
+        with pytest.raises(ValueError, match="cover 110 rows"):
+            self.build(table, [np.arange(60), np.arange(50, 100)])
+
+    def test_empty_group_rejected(self, table):
+        with pytest.raises(ValueError, match="non-empty"):
+            self.build(table, [np.arange(100), np.array([], dtype=np.int64)])
+
+    def test_records_are_read_only_views(self, table, rng):
+        published = self.build(table, _random_groups(rng, 100, 4))
+        records = published.groups if hasattr(published, "groups") else (
+            published.classes
+        )
+        assert len(records) == 4
+        with pytest.raises(AttributeError):
+            records[0].rows = np.arange(3)
+        assert np.array_equal(records[-1].rows, published.group_rows(3))
+        assert [r.size for r in records[1:3]] == published.sizes[1:3].tolist()
+
+
+class TestAnatomyPartitionCheck(TestPartitionCheck):
+    """Every partition case above, on ``AnatomyTable``."""
+
+    @staticmethod
+    def build(table, groups):
+        rows, offsets = concat_groups([np.asarray(g) for g in groups])
+        return AnatomyTable(table, rows, offsets, l=2)

@@ -136,5 +136,7 @@ class TestPublicationValidation:
     def test_empty_publication_rejected(self, patients):
         from repro.dataset.published import GeneralizedTable
 
+        empty = np.empty(0, dtype=np.int64)
         with pytest.raises(ValueError, match="at least one"):
-            GeneralizedTable(patients, [])
+            GeneralizedTable(patients, empty, np.zeros(1, dtype=np.int64),
+                             np.empty((0, patients.schema.n_qi, 2)))

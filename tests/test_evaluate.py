@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.anonymity import BaselinePublication, anatomize
-from repro.anonymity.anatomy import AnatomyGroup, AnatomyTable
+from repro.anonymity.anatomy import AnatomyTable
 from repro.api import ArtifactCache
 from repro.audit import privacy_profile, publication_view
 from repro.audit.evaluate import _audit_publications
@@ -249,19 +249,12 @@ class TestRangeBitmapIndex:
 class TestAnatomyCoverageRegression:
     def test_uncovered_rows_raise(self):
         """Rows outside every group used to carry garbage group ids and
-        silently corrupt estimates; they must raise instead."""
+        silently corrupt estimates; the publication constructor now
+        refuses such a partition before any answerer sees it."""
         table = make_census(100, seed=2, qi_names=("Age", "Gender"))
-        groups = (
-            AnatomyGroup(
-                rows=np.arange(60, dtype=np.int64),
-                sa_counts=np.bincount(
-                    table.sa[:60], minlength=table.sa_cardinality
-                ),
-            ),
-        )
-        published = AnatomyTable(source=table, groups=groups, l=2)
-        with pytest.raises(ValueError, match="40 of 100 rows"):
-            AnatomyAnswerer(published)
+        rows = np.arange(60, dtype=np.int64)
+        with pytest.raises(ValueError, match="cover 60 rows but the table has 100"):
+            AnatomyAnswerer(AnatomyTable(table, rows, [0, 60], l=2))
 
     def test_full_coverage_still_accepted(self, census_small):
         published = anatomize(census_small, 4, rng=np.random.default_rng(1))

@@ -154,6 +154,41 @@ class TestStoreRoundTrip:
             store.get(record.pub_id)
 
 
+class TestConcurrentAdmission:
+    def test_two_writers_of_one_publication(self, tmp_path, publications):
+        """Two threads admitting one publication to one store used to
+        rename each other's shared temp file away (``FileNotFoundError``
+        from ``Path.replace``); each writer now lands its own temp name."""
+        published = publications["generalized"]
+        requirement = {"beta": 2.0}
+        for trial in range(20):
+            store = PublicationStore(tmp_path / f"store{trial}")
+            barrier = threading.Barrier(2)
+            records, errors = [], []
+
+            def admit():
+                barrier.wait(timeout=30)
+                try:
+                    records.append(
+                        store.put(published, requirement=requirement)
+                    )
+                except Exception as exc:  # surfaced by the assert below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=admit) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert errors == []
+            assert records[0] == records[1]
+            # get() re-hashes the payload against its id.
+            assert len(store.get(records[0].pub_id)) == len(published)
+            assert store.ids() == [records[0].pub_id]
+            assert not list((tmp_path / f"store{trial}").rglob("*.tmp"))
+
+
 class TestCertificationGate:
     def test_refuses_beta_violation(self, store, publications):
         with pytest.raises(CertificationError, match="measured beta"):
