@@ -49,12 +49,12 @@ import numpy as np
 
 from _obs import telemetry_block
 from repro.api import Dataset
-from repro.audit.evaluate import _audit_publications
+from repro.audit.evaluate import audit_publications
 from repro.dataset import CENSUS_QI_ORDER, make_census
 from repro.engine import run as engine_run
 from repro.io import publication_digest
 from repro.query import make_workload
-from repro.query.evaluate import _evaluate_workload
+from repro.query.evaluate import evaluate_workload
 from repro.service import PublicationStore
 
 BETAS = (1.0, 2.0, 3.0, 4.0)
@@ -80,7 +80,7 @@ def run_cold(table, queries, root) -> tuple[dict, dict]:
         out["digest"] = publication_digest(published)
 
         start = time.perf_counter()
-        report = _audit_publications(
+        report = audit_publications(
             table, {"candidate": published}, ordered_emd=True
         )["candidate"]
         seconds["audit"] += time.perf_counter() - start
@@ -94,7 +94,7 @@ def run_cold(table, queries, root) -> tuple[dict, dict]:
         out["evidence"] = record.audit
 
         start = time.perf_counter()
-        profile = _evaluate_workload(
+        profile = evaluate_workload(
             table, {"candidate": published}, queries
         )["candidate"]
         seconds["evaluate"] += time.perf_counter() - start
@@ -102,7 +102,7 @@ def run_cold(table, queries, root) -> tuple[dict, dict]:
 
         start = time.perf_counter()
         reloaded = store.get(record.pub_id)
-        served = _evaluate_workload(
+        served = evaluate_workload(
             reloaded.source, {"served": reloaded}, queries
         )["served"]
         seconds["serve"] += time.perf_counter() - start

@@ -25,10 +25,10 @@ def add_lint_parser(sub) -> None:
         help="run the repo's AST invariant linter (reprolint)",
         description=(
             "Statically enforce the repo's house contracts (rng "
-            "seeding, np.empty scatter fills, deprecation shims, "
-            "process-pool pickling, telemetry no-op, cache keys, set "
-            "ordering). Exit 0 when clean against the baseline, 1 on "
-            "new findings, 2 on usage errors."
+            "seeding, np.empty scatter fills, process-pool pickling, "
+            "telemetry no-op, cache keys, set ordering). Exit 0 when "
+            "clean against the baseline, 1 on new findings, 2 on usage "
+            "errors."
         ),
     )
     lint.add_argument(

@@ -306,9 +306,7 @@ class ModuleInfo:
 
 
 class Project:
-    """All modules of one lint run plus cross-module collected state."""
+    """All modules of one lint run."""
 
     def __init__(self, modules: list[ModuleInfo]):
         self.modules = modules
-        #: Rule-keyed scratch space for the collect phase.
-        self.state: dict[str, object] = {}

@@ -131,12 +131,6 @@ class LintEngine:
         for rule in self.rules:
             for module in modules:
                 if rule.applies_to(module):
-                    rule.collect(module, project)
-        for rule in self.rules:
-            rule.finalize(project)
-        for rule in self.rules:
-            for module in modules:
-                if rule.applies_to(module):
                     findings.extend(rule.check(module, project))
 
         result = LintResult(files_checked=len(files))

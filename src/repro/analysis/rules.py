@@ -9,7 +9,6 @@ history):
 ========= ============================================================
 RNG001    silent ``default_rng`` fallbacks (the explicit-seed contract)
 ALLOC001  ``np.empty`` scatter-filled without sentinel/coverage check
-DEPR001   internal callers of warn-once deprecated entry points
 PICKLE001 lambdas/closures submitted to a process pool
 OBS001    direct Tracer()/MetricsRegistry() in library code
 CACHE001  ArtifactCache keys built from object identity (``id(...)``)
@@ -18,9 +17,7 @@ DET001    iteration over sets feeding ordered output
 SUP001    suppression comments without a reason (meta-rule)
 ========= ============================================================
 
-Rules run in two phases: an optional ``collect`` pass over every
-module (cross-module facts, e.g. which names are deprecation shims)
-and a ``check`` pass per module yielding findings.
+Each rule's ``check`` runs once per module and yields findings.
 """
 
 from __future__ import annotations
@@ -81,12 +78,6 @@ class Rule:
         if self.scope == LIBRARY and not module.is_library_code():
             return False
         return not any(frag in module.relpath for frag in self.exclude)
-
-    def collect(self, module: ModuleInfo, project: Project) -> None:
-        """Optional first pass over every module (cross-module facts)."""
-
-    def finalize(self, project: Project) -> None:
-        """Optional hook after all collects, before any check."""
 
     def check(
         self, module: ModuleInfo, project: Project
@@ -299,105 +290,6 @@ class Alloc001(Rule):
                         "uncovered slots keep garbage (the PR 2/3 "
                         "Anatomy-answerer bug class)",
                     )
-
-
-# ---------------------------------------------------------------------------
-# DEPR001
-# ---------------------------------------------------------------------------
-
-#: (defining package, public name) pairs that are always shims, even
-#: when the defining module is outside the linted path set.
-_KNOWN_DEPRECATED: frozenset[tuple[str, str]] = frozenset(
-    {
-        ("repro.core.burel", "burel"),
-        ("repro.query.evaluate", "evaluate_workload"),
-        ("repro.audit.evaluate", "audit_publications"),
-    }
-)
-
-
-@register_rule
-class Depr001(Rule):
-    """Internal callers of warn-once deprecated entry points.
-
-    The shims exist for *external* compatibility; library-internal
-    traffic must import the private implementations so users never see
-    a warning caused by the library itself.  Shimmed names are
-    discovered by scanning for ``deprecated_entry_point(...)`` bindings
-    and propagating re-exports (``from .core.burel import burel`` in
-    ``repro/__init__.py`` makes ``repro.burel`` deprecated too), seeded
-    with the known public shims.
-    """
-
-    rule_id = "DEPR001"
-    title = "internal caller of a deprecated entry point"
-    scope = LIBRARY
-    exclude = ("_deprecation.py",)
-
-    def collect(self, module, project) -> None:
-        deprecated = project.state.setdefault(
-            "DEPR001.deprecated", set(_KNOWN_DEPRECATED)
-        )
-        assert isinstance(deprecated, set)
-        for node in module.tree.body:
-            if not (
-                isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Call)
-            ):
-                continue
-            dotted = module.resolve(node.value.func)
-            if not dotted or not dotted.endswith("deprecated_entry_point"):
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    deprecated.add((module.package, target.id))
-
-    def finalize(self, project) -> None:
-        # Propagate through re-export chains to a fixpoint: a module
-        # that from-imports a deprecated name re-exports it under its
-        # own package.
-        deprecated = project.state.get("DEPR001.deprecated", set())
-        assert isinstance(deprecated, set)
-        for _ in range(10):
-            grew = False
-            for module in project.modules:
-                for alias, origin in module.imports.items():
-                    prefix, _, last = origin.rpartition(".")
-                    if (
-                        prefix
-                        and (prefix, last) in deprecated
-                        and (module.package, alias) not in deprecated
-                    ):
-                        deprecated.add((module.package, alias))
-                        grew = True
-            if not grew:
-                break
-
-    def check(self, module, project) -> Iterator[Finding]:
-        deprecated = project.state.get(
-            "DEPR001.deprecated", set(_KNOWN_DEPRECATED)
-        )
-        assert isinstance(deprecated, set)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = module.resolve(node.func)
-            if not dotted:
-                continue
-            prefix, _, last = dotted.rpartition(".")
-            if not prefix or (prefix, last) not in deprecated:
-                continue
-            if module.package == prefix:
-                continue  # the defining module itself
-            caller = module.enclosing_function(node.lineno)
-            where = f" (in {caller})" if caller else ""
-            yield self.finding(
-                module,
-                node,
-                f"internal call to warn-once deprecated entry point "
-                f"'{last}'{where}; import the private implementation "
-                f"(e.g. '_{last}') so library traffic never warns",
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,6 @@ ARTIFACT_KINDS = (
     "shard_run",
     "cube",
     "cube_table",
-    "cube_measure",
-    "cube_measure_table",
 )
 
 

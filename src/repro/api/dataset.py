@@ -36,7 +36,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..audit.evaluate import AuditReport, _audit_publications
+from ..audit.evaluate import AuditReport, audit_publications
 from ..audit.view import PublicationView, publication_view
 from ..dataset.table import Table
 from ..engine import run as engine_run
@@ -45,8 +45,8 @@ from ..metrics.errors import ErrorProfile
 from ..obs import Telemetry, coerce_telemetry
 from ..query.evaluate import (
     TableMaskEngine,
-    _evaluate_workload,
     answer_precise_batch,
+    evaluate_workload,
     mask_engine,
 )
 from ..query.workload import CountQuery, EncodedWorkload, make_workload
@@ -523,9 +523,9 @@ class Dataset:
         Byte-identical to :func:`repro.query.evaluate.evaluate_workload`,
         with encoded workloads, masks and precise answers drawn from
         (and kept in) the shared artifact cache.  ``publications`` may mix
-        publication objects, prebuilt answerers and plain callables, and
-        may include content-equal reloads from a store (identity with
-        this table is not required — content equality is).
+        publication objects and prebuilt answerers, and may include
+        content-equal reloads from a store (identity with this table is
+        not required — content equality is).
 
         ``backend``/``served`` select and report the answer backend
         (see :data:`repro.query.evaluate.BACKENDS`); cubes built under
@@ -535,7 +535,7 @@ class Dataset:
         with self._telemetry.span(
             "facade.evaluate", publications=len(publications)
         ):
-            return _evaluate_workload(
+            return evaluate_workload(
                 self.table, publications, queries,
                 artifacts=self.cache, backend=backend, served=served,
             )
@@ -558,7 +558,7 @@ class Dataset:
         with self._telemetry.span(
             "facade.audit", publications=len(publications)
         ):
-            return _audit_publications(
+            return audit_publications(
                 self.table, publications, attacks=attacks, cache=self.cache,
                 **kwargs,
             )

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..engine.pipeline import STAGES, RunResult
-from ..engine.shard import merge_pieces, run_shard
+from ..engine.shard import merge_pieces, run_shard, shard_error
 from ..parallel.plan import ShardPlan
 from ..rng import spawn_seeds
 from .dataset import AnonymizationRun
@@ -217,15 +217,21 @@ def refresh_state(dataset, state: VersionState) -> RefreshRun:
                 if seeds[i] is not None
                 else None
             )
-            return run_shard(
-                state.algorithm,
-                table.subset(shard.rows),
-                keys=keys[shard.rows],
-                sa_distribution=state.sa_distribution,
-                rng=rng,
-                telemetry=dataset.telemetry(),
-                **state.params,
-            ).lift(shard.rows)
+            try:
+                piece = run_shard(
+                    state.algorithm,
+                    table.subset(shard.rows),
+                    keys=keys[shard.rows],
+                    sa_distribution=state.sa_distribution,
+                    rng=rng,
+                    telemetry=dataset.telemetry(),
+                    **state.params,
+                )
+            except ValueError as exc:
+                raise shard_error(
+                    exc, i, plan.n_shards, shard.rows.shape[0]
+                ) from exc
+            return piece.lift(shard.rows)
 
         pieces.append(cache.get_or_build(state.shard_key(i), build))
     reused = tuple(i for i in range(plan.n_shards) if i not in recomputed)

@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .._deprecation import deprecated_entry_point
 from ..attacks.corruption import CompositionReport, CorruptionReport
 from ..attacks.definetti import (
     DeFinettiResult,
@@ -72,7 +71,7 @@ class AuditReport:
     definetti_baseline: AttackResult | None = None
 
 
-def _audit_publications(
+def audit_publications(
     table: Table,
     publications: Mapping[str, object],
     *,
@@ -89,9 +88,8 @@ def _audit_publications(
 ) -> "dict[str, AuditReport]":
     """Audit every candidate publication of ``table`` in one batch.
 
-    This is the implementation behind both the deprecated module-level
-    :func:`audit_publications` and :meth:`repro.api.Dataset.audit`
-    (which supplies ``cache``).
+    :meth:`repro.api.Dataset.audit` calls this with its session's
+    ``cache``.
 
     Args:
         table: The source microdata every publication must cover.
@@ -181,9 +179,3 @@ def _audit_publications(
         )
     return reports
 
-
-audit_publications = deprecated_entry_point(
-    _audit_publications,
-    "repro.audit.audit_publications()",
-    "repro.api.Dataset.audit()",
-)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._deprecation import deprecated_entry_point
 from ..dataset.published import GeneralizedTable
 from ..dataset.table import Table
 from .bucketize import BucketPartition
@@ -38,7 +37,7 @@ class BurelResult:
     elapsed_seconds: float
 
 
-def _burel(
+def burel(
     table: Table,
     beta: float,
     enhanced: bool = True,
@@ -108,9 +107,3 @@ def _burel(
         elapsed_seconds=result.elapsed_seconds,
     )
 
-
-burel = deprecated_entry_point(
-    _burel,
-    "repro.burel()",
-    'repro.api.Dataset.anonymize("burel", beta=...)',
-)

@@ -100,6 +100,17 @@ def prepare_shard(
     return prepared
 
 
+def shard_error(
+    exc: ValueError, index: int, n_shards: int, n_rows: int
+) -> ValueError:
+    """``exc`` restated for the shard that raised it.
+
+    The algorithms word their errors for the table they were given, so a
+    shard's failure would otherwise read as the whole table's.
+    """
+    return ValueError(f"shard {index} of {n_shards} ({n_rows} rows): {exc}")
+
+
 def run_shard(
     algorithm: str,
     table: Table,

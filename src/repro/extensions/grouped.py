@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.burel import BurelResult, _burel as burel
+from ..core.burel import BurelResult, burel
 from ..dataset.published import GeneralizedTable, publish
 from ..dataset.schema import Schema, SensitiveAttribute
 from ..dataset.table import Table

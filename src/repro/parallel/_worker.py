@@ -29,9 +29,13 @@ import numpy as np
 from ..dataset.table import Table
 from ..engine.batch import PreparedTable
 from ..engine.registry import run as engine_run
-from ..engine.shard import ShardPiece, run_shard
+from ..engine.shard import ShardPiece, run_shard, shard_error
 from ..io import publication_from_payload
-from ..query.evaluate import answer_precise_batch, batch_estimates
+from ..query.evaluate import (
+    answer_batch,
+    answer_precise_batch,
+    batch_estimates,
+)
 from ..query.workload import EncodedWorkload
 from .shm import ArrayHandle, TableHandle, load_array, load_table
 
@@ -120,6 +124,7 @@ def shard_anonymize(
     source,
     rows,
     shard_index: int,
+    n_shards: int,
     algorithm: str,
     params: dict,
     seed_seq,
@@ -133,18 +138,23 @@ def shard_anonymize(
     generator, run.  The piece ships row *indices local to the shard*,
     the group offsets and the boxes — never the shard table itself — so
     the transfer back to the parent is a few percent of the table size.
+    A shard the algorithm cannot anonymize raises a ``ValueError`` that
+    names the shard, chained to the algorithm's own.
     """
     table, keys = _resolve_shard(source, rows, shard_index)
     rng = np.random.default_rng(seed_seq) if seed_seq is not None else None
-    return run_shard(
-        algorithm,
-        table,
-        keys=keys,
-        sa_distribution=probs,
-        rng=rng,
-        telemetry=telemetry,
-        **params,
-    )
+    try:
+        return run_shard(
+            algorithm,
+            table,
+            keys=keys,
+            sa_distribution=probs,
+            rng=rng,
+            telemetry=telemetry,
+            **params,
+        )
+    except ValueError as exc:
+        raise shard_error(exc, shard_index, n_shards, table.n_rows) from exc
 
 
 # ----------------------------------------------------------------------
@@ -276,10 +286,12 @@ def load_publication_payload(digest: str, meta: dict, array_handles: dict):
 def serve_estimates(
     digest: str,
     enc: EncodedWorkload,
+    aggregate: "tuple[int, str] | None" = None,
     meta: dict | None = None,
     array_handles: dict | None = None,
-) -> np.ndarray:
-    """Batched estimates for a served publication, by content digest.
+) -> "tuple[np.ndarray, str]":
+    """COUNT/SUM/AVG estimates for a served publication, by content
+    digest, with the backend label the answering seam reports.
 
     The first task naming a digest carries the payload handles; any
     worker that has not yet materialized the publication does so on
@@ -293,9 +305,13 @@ def serve_estimates(
             )
         load_publication_payload(digest, meta, array_handles)
     publication, answerer = _PUBS[digest]
-    return batch_estimates(
+    served: dict = {}
+    estimates = answer_batch(
         publication.source,
         {"served": answerer},
         enc,
+        aggregate,
         artifacts=_artifact_cache(),
+        served=served,
     )["served"]
+    return estimates, served["served"]

@@ -34,7 +34,7 @@ from multiprocessing import resource_tracker
 
 import numpy as np
 
-from ..audit.evaluate import AuditReport, _audit_publications
+from ..audit.evaluate import AuditReport, audit_publications
 from ..audit.view import PublicationView, publication_view
 from ..dataset.table import Table
 from ..engine.batch import EngineJob, PreparedTable
@@ -365,7 +365,8 @@ class ShardedSession:
         pieces = self._map(
             _worker.shard_anonymize,
             [
-                (algorithm, dict(params), seeds[i], self._anon_probs)
+                (plan.n_shards, algorithm, dict(params), seeds[i],
+                 self._anon_probs)
                 for i in range(plan.n_shards)
             ],
             span_name="parallel.anonymize",
@@ -422,7 +423,7 @@ class ShardedSession:
         histograms, so the audit runs in the parent through the
         standard entry point, on the session-cached view.
         """
-        return _audit_publications(
+        return audit_publications(
             self.table,
             {"run": run.published},
             attacks=attacks,
@@ -593,17 +594,25 @@ class ProcessEvaluator:
             self._payloads[digest] = (meta, handles)
         return digest
 
-    def estimates(
-        self, publication, enc: EncodedWorkload
-    ) -> np.ndarray:
-        """Batched estimates of one publication over one encoded batch."""
+    def answer(
+        self, publication, enc: EncodedWorkload, aggregate=None
+    ) -> "tuple[np.ndarray, str]":
+        """COUNT (``aggregate=None``) or ``(measure_dim, op)`` SUM/AVG
+        estimates of one publication over one encoded batch, with the
+        backend label that answered it."""
         if self._closed:
             raise RuntimeError("the evaluator is closed")
         digest = self.register(publication)
         meta, handles = self._payloads[digest]
         return self._pool.submit(
-            _worker.serve_estimates, digest, enc, meta, handles
+            _worker.serve_estimates, digest, enc, aggregate, meta, handles
         ).result()
+
+    def estimates(
+        self, publication, enc: EncodedWorkload
+    ) -> np.ndarray:
+        """Batched COUNT estimates of one publication over one batch."""
+        return self.answer(publication, enc)[0]
 
     def forget(self, digest: str) -> None:
         """Drop a publication's shared payload record (LRU eviction)."""

@@ -87,13 +87,26 @@ def answer_baseline(published: BaselinePublication, query: CountQuery) -> float:
     return float(mask.sum() * probs[lo : hi + 1].sum())
 
 
+def _fits_int32(*arrays: np.ndarray) -> bool:
+    """Whether int32 bound arithmetic over ``arrays`` cannot overflow.
+
+    It is ~2x faster than int64 (wider SIMD) and exact for any domain
+    below 2^30 — the results, including the float64 division, are
+    bit-identical to the int64 path.
+    """
+    return all(
+        a.size == 0 or max(abs(int(a.min())), abs(int(a.max()))) < 2**30
+        for a in arrays
+    )
+
+
 class GeneralizedAnswerer:
     """Vectorized batch estimator over a generalized publication.
 
-    Precomputes per-EC box bounds and SA prefix sums once, so answering a
-    query costs a handful of length-``|ECs|`` numpy operations instead of
-    a Python loop — experiment sweeps answer millions of (query, EC)
-    pairs.
+    Precomputes per-EC box bounds, box widths and SA prefix sums once,
+    so answering a query costs a handful of length-``|ECs|`` numpy
+    operations instead of a Python loop — experiment sweeps answer
+    millions of (query, EC) pairs.
     """
 
     def __init__(self, published: GeneralizedTable):
@@ -101,16 +114,22 @@ class GeneralizedAnswerer:
         self.box_lo = published.boxes[:, :, 0]  # (E, d)
         self.box_hi = published.boxes[:, :, 1]
         counts = published.sa_counts  # (E, m)
-        self.sa_prefix = np.concatenate(
-            [np.zeros((counts.shape[0], 1), dtype=np.int64),
-             np.cumsum(counts, axis=1)],
-            axis=1,
+        #: (m + 1, E) SA prefix sums, EC-minor: a query's per-EC SA
+        #: matches are the difference of two contiguous rows.
+        self.sa_prefix_t = np.zeros(
+            (counts.shape[1] + 1, counts.shape[0]), dtype=np.int64
         )
+        np.cumsum(counts.T, axis=0, out=self.sa_prefix_t[1:])
+        # Dimension-major bounds and widths for the batch kernel.
+        dtype = np.int32 if _fits_int32(published.boxes) else np.int64
+        self._lo = np.ascontiguousarray(self.box_lo.T, dtype=dtype)  # (d, E)
+        self._hi = np.ascontiguousarray(self.box_hi.T, dtype=dtype)
+        self._width = self._hi - self._lo + 1
 
     def __call__(self, query: CountQuery) -> float:
         lo, hi = query.sa_range
         sa_matches = (
-            self.sa_prefix[:, hi + 1] - self.sa_prefix[:, lo]
+            self.sa_prefix_t[hi + 1] - self.sa_prefix_t[lo]
         ).astype(float)
         fraction = np.ones(self.box_lo.shape[0])
         for dim, (q_lo, q_hi) in query.qi_ranges:
@@ -120,22 +139,31 @@ class GeneralizedAnswerer:
             fraction *= np.maximum(overlap, 0) / (b_hi - b_lo + 1)
         return float((fraction * sa_matches).sum())
 
-    def batch(self, queries, chunk: int = 64) -> np.ndarray:
+    def batch(
+        self, queries, chunk: int = 64, measure_dim: int | None = None
+    ) -> np.ndarray:
         """Answer a whole workload in chunked (queries × ECs) passes.
 
-        Per query this performs exactly the scalar ``__call__`` operation
-        sequence (per-dimension overlap products in ascending dimension
-        order, then a row-wise sum over ECs), so estimates are bit-for-bit
-        identical — only the Python-level per-query dispatch is amortized.
-        Queries are grouped by which dimensions they constrain, so each
-        kernel pass touches exactly its group's predicate dimensions with
-        no per-row masking.
+        Per query this performs exactly the scalar operation sequence
+        (per-dimension overlap products in ascending dimension order,
+        then a row-wise sum over ECs) — of ``__call__`` for COUNT, of
+        :func:`repro.query.aggregates.answer_aggregate` for SUM — so
+        estimates are bit-for-bit identical; only the Python-level
+        per-query dispatch is amortized.  Queries are grouped by which
+        dimensions they constrain, so each kernel pass touches exactly
+        its group's predicate dimensions with no per-row masking.
 
         Args:
             queries: Sequence of :class:`CountQuery`, or an
                 :class:`~repro.query.workload.EncodedWorkload`.
             chunk: Queries per (chunk × ECs) block; small chunks keep the
                 working set inside the CPU cache.
+            measure_dim: ``None`` for COUNT; a QI dimension for the SUM
+                of that attribute, where each EC's term is further
+                scaled by the midpoint of its box's measure interval
+                (clipped to the query's, when constrained): the expected
+                measure value of a matching tuple under in-box
+                uniformity.
 
         Returns:
             ``(Q,)`` float64 estimates, in workload order.
@@ -145,21 +173,12 @@ class GeneralizedAnswerer:
         out = np.empty(q_n)
         if q_n == 0:
             return out
-        n_classes = self.box_lo.shape[0]
-        sa_prefix_t = np.ascontiguousarray(self.sa_prefix.T)  # (m + 1, E)
-        # int32 bound arithmetic is ~2x faster (wider SIMD) and exact for
-        # any domain below 2^30 — the results, including the float64
-        # division, are bit-identical to the int64 path.
-        bounds = (self.box_lo, self.box_hi, enc.qi_lo, enc.qi_hi)
-        small = all(
-            a.size == 0 or max(abs(int(a.min())), abs(int(a.max()))) < 2**30
-            for a in bounds
-        )
-        dtype = np.int32 if small else np.int64
-        box_lo = self.box_lo.astype(dtype, copy=False)
-        box_hi = self.box_hi.astype(dtype, copy=False)
-        qi_lo = enc.qi_lo.astype(dtype, copy=False)
-        qi_hi = enc.qi_hi.astype(dtype, copy=False)
+        n_classes = self.sa_prefix_t.shape[1]
+        box_lo, box_hi, width = self._lo, self._hi, self._width
+        qi_lo, qi_hi = enc.qi_lo, enc.qi_hi
+        if box_lo.dtype == np.int32 and _fits_int32(qi_lo, qi_hi):
+            qi_lo = qi_lo.astype(np.int32)
+            qi_hi = qi_hi.astype(np.int32)
         patterns, inverse = np.unique(
             enc.constrained, axis=0, return_inverse=True
         )
@@ -170,16 +189,14 @@ class GeneralizedAnswerer:
                 sel = index[start : start + chunk]
                 fraction = None
                 for dim in dims:
-                    b_lo = box_lo[:, dim]
-                    b_hi = box_hi[:, dim]
                     q_lo = qi_lo[sel, dim][:, None]
                     q_hi = qi_hi[sel, dim][:, None]
                     overlap = (
-                        np.minimum(b_hi[None, :], q_hi)
-                        - np.maximum(b_lo[None, :], q_lo)
+                        np.minimum(box_hi[dim], q_hi)
+                        - np.maximum(box_lo[dim], q_lo)
                         + 1
                     )
-                    term = np.maximum(overlap, 0) / (b_hi - b_lo + 1)
+                    term = np.maximum(overlap, 0) / width[dim]
                     if fraction is None:  # 1.0 * term == term, bit-exact
                         fraction = term
                     else:
@@ -187,10 +204,24 @@ class GeneralizedAnswerer:
                 if fraction is None:
                     fraction = np.ones((sel.size, n_classes))
                 sa_matches = (
-                    sa_prefix_t[enc.sa_hi[sel] + 1]
-                    - sa_prefix_t[enc.sa_lo[sel]]
+                    self.sa_prefix_t[enc.sa_hi[sel] + 1]
+                    - self.sa_prefix_t[enc.sa_lo[sel]]
                 ).astype(float)
-                out[sel] = (fraction * sa_matches).sum(axis=1)
+                values = fraction * sa_matches
+                if measure_dim is not None:
+                    mid_lo = box_lo[measure_dim]
+                    mid_hi = box_hi[measure_dim]
+                    if pattern[measure_dim]:
+                        # Inverted (empty) overlaps are annihilated by
+                        # fraction == 0.
+                        mid_lo = np.maximum(
+                            mid_lo, qi_lo[sel, measure_dim][:, None]
+                        )
+                        mid_hi = np.minimum(
+                            mid_hi, qi_hi[sel, measure_dim][:, None]
+                        )
+                    values *= (mid_lo + mid_hi) / 2.0
+                out[sel] = values.sum(axis=1)
         return out
 
 
@@ -253,8 +284,9 @@ class PerturbedAnswerer:
         queries,
         masks: np.ndarray | None = None,
         histograms: np.ndarray | None = None,
+        measure: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Answer a workload against masks or precomputed histograms.
+        """Answer a workload from precomputed histograms or QI masks.
 
         Args:
             queries: Sequence of :class:`CountQuery` or an
@@ -264,14 +296,18 @@ class PerturbedAnswerer:
                 :func:`~repro.query.evaluate.batch_estimates`); without
                 it each query recomputes its own mask.
             histograms: Optional ``(Q, m)`` observed perturbed-SA
-                histograms (integer counts), e.g. one gather from a
+                histograms, e.g. one gather from a
                 :class:`~repro.query.cube.PrefixSumCube` value cube;
                 takes precedence over ``masks``.
+            measure: Optional ``(n_rows,)`` measure column: each masked
+                row then weighs its measure value instead of 1, giving
+                SUM instead of COUNT estimates.
 
         Returns:
             ``(Q,)`` float64 estimates, bit-identical to ``__call__``:
-            every path reduces the same (weights × integer histogram)
-            products, so only where the histogram comes from differs.
+            every path reduces the same (weights × exact-integer
+            histogram) products, so only where the histogram comes from
+            differs.
         """
         if histograms is not None:
             return (self.weight_rows(queries) * histograms).sum(axis=1)
@@ -283,9 +319,11 @@ class PerturbedAnswerer:
         out = np.empty(len(queries))
         for i, query in enumerate(queries):
             mask = masks[i] if masks is not None else qi_mask(source, query)
-            observed = np.bincount(sa_perturbed[mask], minlength=m)
-            weights = self._weights(query.sa_range)
-            out[i] = (weights * observed).sum()
+            weights = None if measure is None else measure[mask]
+            observed = np.bincount(
+                sa_perturbed[mask], weights=weights, minlength=m
+            )
+            out[i] = (self._weights(query.sa_range) * observed).sum()
         return out
 
 
@@ -332,20 +370,18 @@ class AnatomyAnswerer:
         self,
         queries,
         masks: np.ndarray | None = None,
-        group_counts: np.ndarray | None = None,
+        histograms: np.ndarray | None = None,
+        measure: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Answer a workload against masks or precomputed group counts.
+        """Answer a workload from precomputed histograms or QI masks.
 
-        Same contract as :meth:`PerturbedAnswerer.batch`: per-query
-        operations are the scalar ones, so estimates are bit-identical;
-        ``masks`` only removes the per-query mask recomputation, and
-        ``group_counts`` — ``(Q, G)`` integer per-group membership
-        counts inside each query's QI box, e.g. one gather from a
-        :class:`~repro.query.cube.PrefixSumCube` group cube — replaces
-        the masks entirely.
+        Same contract as :meth:`PerturbedAnswerer.batch`, with
+        ``histograms`` the ``(Q, G)`` per-group membership counts (or
+        measure sums) inside each query's QI box, e.g. one gather from a
+        :class:`~repro.query.cube.PrefixSumCube` group cube.
         """
-        if group_counts is not None:
-            return (group_counts * self.fraction_rows(queries)).sum(axis=1)
+        if histograms is not None:
+            return (histograms * self.fraction_rows(queries)).sum(axis=1)
         if isinstance(queries, EncodedWorkload):
             queries = queries.queries
         source = self.published.source
@@ -354,7 +390,10 @@ class AnatomyAnswerer:
         for i, query in enumerate(queries):
             mask = masks[i] if masks is not None else qi_mask(source, query)
             lo, hi = query.sa_range
-            counts = np.bincount(self.group_of[mask], minlength=n_groups)
+            weights = None if measure is None else measure[mask]
+            counts = np.bincount(
+                self.group_of[mask], weights=weights, minlength=n_groups
+            )
             fractions = self.sa_prefix[:, hi + 1] - self.sa_prefix[:, lo]
             out[i] = (counts * fractions).sum()
         return out
@@ -377,31 +416,31 @@ class BaselineAnswerer:
         self,
         queries,
         masks: np.ndarray | None = None,
-        qi_counts: np.ndarray | None = None,
+        histograms: np.ndarray | None = None,
+        measure: np.ndarray | None = None,
     ) -> np.ndarray:
         """Answer a workload in one vectorized pass.
 
-        The Baseline only needs the *size* of each query's QI match, so
-        ``qi_counts`` (``(Q,)`` int, e.g. from the shared bitmap index)
-        is the cheapest input; ``masks`` or per-query recomputation are
-        the fallbacks.  Integer counts are order-free and the per-query
-        product is the same two-operand float multiply as ``__call__``,
-        so estimates are bit-identical.
+        The Baseline's histogram is one number per query: the size of
+        its QI match, or with ``measure`` the match's measure sum.
+        ``histograms`` (``(Q,)``, e.g. popcounts from the shared bitmap
+        index or table-cube lookups) is the cheapest input; ``masks`` or
+        per-query recomputation are the fallbacks.  Integer sums are
+        order-free and the per-query product is the same two-operand
+        float multiply as ``__call__``, so estimates are bit-identical.
         """
         enc = EncodedWorkload.encode(self.published.source.schema, queries)
-        if qi_counts is None:
-            if masks is not None:
-                qi_counts = masks.sum(axis=1)
-            else:
-                qi_counts = np.array(
-                    [
-                        qi_mask(self.published.source, query).sum()
-                        for query in enc.queries
-                    ],
-                    dtype=np.int64,
-                )
-        return qi_counts * (
+        if histograms is None:
+            source = self.published.source
+            if masks is None:
+                masks = [qi_mask(source, query) for query in enc.queries]
+            histograms = np.array(
+                [
+                    mask.sum() if measure is None else measure[mask].sum()
+                    for mask in masks
+                ],
+                dtype=np.int64,
+            )
+        return histograms * (
             self.sa_prefix[enc.sa_hi + 1] - self.sa_prefix[enc.sa_lo]
         )
-
-

@@ -1,4 +1,4 @@
-"""Precomputed prefix-sum count cubes: the ``CountCube`` answer backend.
+"""Precomputed prefix-sum cubes: the cube answer backend.
 
 The bitmap engine (:mod:`repro.query.evaluate`) pays ``λ + 1`` packed
 ANDs plus a popcount per precise COUNT, and per-query mask work for the
@@ -21,24 +21,26 @@ Three cube shapes cover the four publication kinds:
   query's per-group membership counts, feeding the Anatomy estimator's
   mass fractions.
 
-Generalized publications need no cube: their estimator is already
-table-free (the per-EC SA prefix sums *are* a 1-D instance of the same
-trick), so the cube backend serves them through the EC answerer
-unchanged.
+:meth:`CountCube.histograms` hands each kind the histogram its
+estimator consumes.  Generalized publications need no cube: their
+estimator is already table-free (the per-EC SA prefix sums *are* a 1-D
+instance of the same trick), so the cube backend serves them through
+the EC answerer unchanged.
 
-Cubes hold exact integer counts (int32 storage — counts are bounded by
-the row count — upcast to int64/float64 downstream; the measure-sum
-cubes behind SUM/AVG aggregates hold exact float64 integer sums), so
-cube answers are **bit-identical** to the bitmap and scalar paths: the
-integer inputs are equal, and the estimators' final float operations
-are shared.
+:func:`build_table_cube` and :func:`build_count_cube` count rows, or
+with ``measure_dim`` sum that QI column instead — the cubes behind
+SUM/AVG aggregates, keyed with the measure dim last.  Count cubes hold
+exact integer counts (int32 storage — counts are bounded by the row
+count — upcast to int64/float64 downstream) and measure cubes exact
+integer sums in float64, so cube answers are **bit-identical** to the
+bitmap and scalar paths: the integer inputs are equal, and the
+estimators' final float operations are shared.
 
 The cutover heuristic mirrors ``DEFAULT_INDEX_BUDGET``: a cube is built
 only when ``prod(domain_j + 1) * (extra_axis) * 8`` bytes fits
 :data:`DEFAULT_CUBE_BUDGET`; larger domains fall back to the bitmap
 engine (same answers, no cube memory).
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -286,6 +288,13 @@ def _qi_axes(schema: Schema) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return lows, dims
 
 
+def _measure_weights(table: Table, measure_dim: int | None):
+    """Per-row cube weights: ``None`` counts rows, a dim sums its column."""
+    if measure_dim is None:
+        return None
+    return table.qi[:, measure_dim].astype(np.float64)
+
+
 def estimate_table_cube_bytes(schema: Schema) -> int:
     """Bytes of the (QI..., SA) table cube for ``schema``."""
     _, dims = _qi_axes(schema)
@@ -293,12 +302,18 @@ def estimate_table_cube_bytes(schema: Schema) -> int:
 
 
 def build_table_cube(
-    table: Table, budget: int | None = DEFAULT_CUBE_BUDGET
+    table: Table,
+    budget: int | None = DEFAULT_CUBE_BUDGET,
+    *,
+    measure_dim: int | None = None,
 ) -> PrefixSumCube | None:
-    """The (QI..., SA) count cube of a table, or ``None`` over budget.
+    """The (QI..., SA) cube of a table, or ``None`` over budget.
 
     Full-SA-range lookups give per-query QI-match sizes, so one cube
-    serves both precise COUNTs and the Baseline estimator's only input.
+    serves both precise answers and the Baseline estimator's only input.
+    Cells count rows, or with ``measure_dim`` sum that QI column (exact
+    integers in float64, so range sums equal the masked integer sums
+    bit for bit).
     """
     if budget is not None and estimate_table_cube_bytes(table.schema) > budget:
         return None
@@ -308,29 +323,7 @@ def build_table_cube(
         columns + [table.sa],
         lows + (0,),
         dims + (table.sa_cardinality,),
-    )
-
-
-def build_table_measure_cube(
-    table: Table,
-    measure_dim: int,
-    budget: int | None = DEFAULT_CUBE_BUDGET,
-) -> PrefixSumCube | None:
-    """(QI..., SA) cube of per-cell **measure sums** (SUM aggregates).
-
-    Weighted by the integer measure column, so cells hold exact integer
-    sums in float64; range sums equal the masked integer sums bit for
-    bit once converted to float.
-    """
-    if budget is not None and estimate_table_cube_bytes(table.schema) > budget:
-        return None
-    lows, dims = _qi_axes(table.schema)
-    columns = [table.qi[:, j] for j in range(table.schema.n_qi)]
-    return PrefixSumCube.build(
-        columns + [table.sa],
-        lows + (0,),
-        dims + (table.sa_cardinality,),
-        weights=table.qi[:, measure_dim].astype(np.float64),
+        weights=_measure_weights(table, measure_dim),
     )
 
 
@@ -344,8 +337,8 @@ def build_payload_cube(
 ) -> PrefixSumCube | None:
     """A (QI...) × payload cube over a table's rows, or ``None``.
 
-    The generic builder behind the perturbed value cube, the Anatomy
-    group cube, and their measure-sum variants.
+    The generic builder behind the perturbed value cube and the
+    Anatomy group cube, counted or measure-weighted.
     """
     lows, dims = _qi_axes(table.schema)
     if budget is not None and (
@@ -366,6 +359,9 @@ def build_payload_cube(
 @dataclass
 class CountCube:
     """The cube backend's serving state for one publication.
+
+    Its cells count rows, or sum a measure column when built with
+    ``measure_dim`` (see :func:`build_count_cube`).
 
     Attributes:
         kind: The publication kind the cube was built for.
@@ -394,24 +390,27 @@ class CountCube:
 
     # -- encoded-workload lookups --------------------------------------
 
-    def precise(self, enc: EncodedWorkload) -> np.ndarray:
-        """Exact COUNTs (QI ∧ SA predicates), int64, from the table cube."""
-        lo = np.concatenate([enc.qi_lo, enc.sa_lo[:, None]], axis=1)
-        hi = np.concatenate([enc.qi_hi, enc.sa_hi[:, None]], axis=1)
-        return self.table.range_sums(lo, hi)
+    def histograms(self, enc: EncodedWorkload) -> np.ndarray | None:
+        """The per-query histograms this kind's estimator consumes.
 
-    def qi_counts(self, enc: EncodedWorkload) -> np.ndarray:
-        """Per-query QI-match sizes (full SA range), int64."""
-        n = enc.n_queries
-        m = self.table._extents[-1] - 1
-        sa_lo = np.zeros((n, 1), dtype=np.int64)
-        sa_hi = np.full((n, 1), m - 1, dtype=np.int64)
-        lo = np.concatenate([enc.qi_lo, sa_lo], axis=1)
-        hi = np.concatenate([enc.qi_hi, sa_hi], axis=1)
-        return self.table.range_sums(lo, hi)
-
-    def payload_counts(self, enc: EncodedWorkload) -> np.ndarray:
-        """Per-query payload histograms inside the QI box, ``(Q, card)``."""
+        A Baseline reads its QI-match sizes, ``(Q,)``, from full-SA-range
+        table-cube lookups; perturbed and Anatomy publications read
+        ``(Q, card)`` payload histograms inside each QI box.  ``None``
+        when the sub-cube the kind needs was not built (over budget, or
+        a generalized publication, whose EC kernel reads no histogram).
+        """
+        if self.kind == "baseline":
+            if self.table is None:
+                return None
+            n = enc.n_queries
+            m = self.table._extents[-1] - 1
+            sa_lo = np.zeros((n, 1), dtype=np.int64)
+            sa_hi = np.full((n, 1), m - 1, dtype=np.int64)
+            lo = np.concatenate([enc.qi_lo, sa_lo], axis=1)
+            hi = np.concatenate([enc.qi_hi, sa_hi], axis=1)
+            return self.table.range_sums(lo, hi)
+        if self.payload is None:
+            return None
         return self.payload.range_sums(enc.qi_lo, enc.qi_hi)
 
     # -- payload-archive round-trip ------------------------------------
@@ -459,74 +458,36 @@ class CountCube:
                    payload=cubes["payload"])
 
 
-def build_measure_cube(
-    published, measure_dim: int, budget: int | None = DEFAULT_CUBE_BUDGET
-) -> CountCube | None:
-    """Measure-sum cubes for SUM/AVG aggregates over a publication.
-
-    The same shapes as :func:`build_count_cube`, but every cell holds
-    the **sum of the measure column** (a QI attribute, cast to float64)
-    over its points instead of their count; the cells are exact integer
-    sums, so downstream estimates match the masked bitmap path bit for
-    bit.  Generalized publications need none (their aggregate estimator
-    works off the published EC boxes alone).
-    """
-    table = published.source
-    measure = table.qi[:, measure_dim].astype(np.float64)
-    table_cube = build_table_measure_cube(table, measure_dim, budget)
-    payload_cube = None
-    if isinstance(published, PerturbedTable):
-        kind = "perturbed"
-        payload_cube = build_payload_cube(
-            table,
-            published.sa_perturbed,
-            table.sa_cardinality,
-            budget,
-            weights=measure,
-        )
-    elif isinstance(published, AnatomyTable):
-        kind = "anatomy"
-        payload_cube = build_payload_cube(
-            table,
-            published.class_of,
-            published.n_groups,
-            budget,
-            weights=measure,
-        )
-    elif isinstance(published, GeneralizedTable):
-        kind = "generalized"
-    elif isinstance(published, BaselinePublication):
-        kind = "baseline"
-    else:
-        raise TypeError(
-            f"no cube builder for publication type {type(published).__name__!r}"
-        )
-    cube = CountCube(kind=kind, table=table_cube, payload=payload_cube)
-    return cube if cube else None
-
-
 def build_count_cube(
-    published, budget: int | None = DEFAULT_CUBE_BUDGET
+    published,
+    budget: int | None = DEFAULT_CUBE_BUDGET,
+    *,
+    measure_dim: int | None = None,
 ) -> CountCube | None:
     """The :class:`CountCube` for a publication, or ``None``.
 
     Each sub-cube is gated on ``budget`` independently; ``None`` means
     nothing fit and the bitmap engine must serve this publication.
     Generalized publications get only the table cube (their estimator is
-    already table-free; see the module docstring).
+    already table-free; see the module docstring).  With
+    ``measure_dim`` every cell holds the sum of that QI column over its
+    points instead of their count — the cubes behind SUM/AVG.
     """
     table = published.source
-    table_cube = build_table_cube(table, budget)
+    weights = _measure_weights(table, measure_dim)
+    table_cube = build_table_cube(table, budget, measure_dim=measure_dim)
     payload_cube = None
     if isinstance(published, PerturbedTable):
         kind = "perturbed"
         payload_cube = build_payload_cube(
-            table, published.sa_perturbed, table.sa_cardinality, budget
+            table, published.sa_perturbed, table.sa_cardinality, budget,
+            weights=weights,
         )
     elif isinstance(published, AnatomyTable):
         kind = "anatomy"
         payload_cube = build_payload_cube(
-            table, published.class_of, published.n_groups, budget
+            table, published.class_of, published.n_groups, budget,
+            weights=weights,
         )
     elif isinstance(published, GeneralizedTable):
         kind = "generalized"

@@ -1,4 +1,4 @@
-"""Batched evaluation of COUNT-query workloads (§6.2–6.3, Figs. 8–9).
+"""Batched evaluation of COUNT, SUM and AVG workloads (§6.2–6.3, Figs. 8–9).
 
 The paper's utility experiments answer thousands of COUNT queries per
 sweep point, and the per-query path rebuilds an O(n) row mask for every
@@ -15,27 +15,38 @@ whole workload as array operations:
   ANDs plus a popcount, independent of how many rows match (the
   data-skipping idea of Niu et al. applied to workload evaluation);
 * every estimator answering the same workload shares that one QI-mask
-  source instead of recomputing masks per query
-  (:func:`batch_estimates`);
+  source instead of recomputing masks per query;
 * given a session's :class:`~repro.api.ArtifactCache` (``artifacts=``),
   the encoded workload, the mask engine and the precise answers are
   content-keyed there, so sweep points that reuse a workload (Fig. 8(b)'s
   β sweep, Fig. 9(b)) pay for them once; without one, nothing outlives
   the call.
 
+**One answering seam.**  :func:`answer_batch` answers COUNT, SUM and
+AVG for all four publication kinds; :func:`batch_estimates` and
+:func:`~repro.query.aggregates.batch_aggregate_estimates` are its thin
+entry points, and the query service calls it directly.  COUNT is SUM
+with unit weights, and AVG is SUM ÷ COUNT.  Per kind the estimate is
+one functional of a per-query histogram — perturbed: weight rows ×
+perturbed-SA histogram; Anatomy: fraction rows × group histogram;
+Baseline: SA mass × QI-match size — while generalized publications go
+to their EC kernel (:meth:`~repro.query.answer.GeneralizedAnswerer.batch`).
+The histogram comes from a cube or from the shared bitmap masks,
+counted or measure-weighted.  Precise answers take the same route
+(:func:`answer_precise_batch`), with the popcount kernel for COUNT.
+
 All batch estimates are **bit-identical** to the scalar per-query
 answerers — the batch kernels perform the same numpy operation
 sequences, only amortizing the Python-level dispatch — so migrating an
 experiment onto :func:`evaluate_workload` cannot change its numbers.
 
-Serve-time answering is pluggable behind a **backend** seam: the bitmap
-engine above is one backend, and :mod:`repro.query.cube` provides a
-second — precomputed d-dimensional prefix-sum count cubes that turn any
-range COUNT into ``2^d`` array lookups.  :func:`batch_estimates`,
-:func:`answer_precise_batch` and the workload evaluators accept
-``backend="auto" | "cube" | "bitmap"``: ``auto`` serves from a cube
-already attached to the publication (a store admission built it) or
-cached, ``cube`` builds one on demand within
+**Backends.**  The bitmap engine above is one backend, and
+:mod:`repro.query.cube` provides a second — precomputed d-dimensional
+prefix-sum cubes that turn any range COUNT or SUM into ``2^d`` array
+lookups.  Every entry point accepts ``backend="auto" | "cube" |
+"bitmap"``, resolved by :func:`resolve_cube`: ``auto`` serves from a
+cube already attached to the publication (a store admission built it)
+or cached, ``cube`` builds one on demand within
 :data:`~repro.query.cube.DEFAULT_CUBE_BUDGET`, and both fall back to
 this module's bitmap engine — with bit-identical answers — when the
 domain exceeds the budget.
@@ -47,24 +58,19 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .._deprecation import deprecated_entry_point
 from ..anonymity.anatomy import AnatomyTable, BaselinePublication
 from ..core.perturb import PerturbedTable
 from ..dataset.published import GeneralizedTable
 from ..dataset.table import Table
 from ..io import table_digest
-from ..metrics.errors import (
-    ErrorProfile,
-    error_profile,
-    median_relative_error,
-)
+from ..metrics.errors import ErrorProfile, error_profile
 from .answer import (
     AnatomyAnswerer,
     BaselineAnswerer,
     GeneralizedAnswerer,
     PerturbedAnswerer,
 )
-from .cube import CountCube, build_count_cube, build_table_cube
+from .cube import build_count_cube, build_table_cube
 from .workload import CountQuery, EncodedWorkload
 
 #: Default byte budget for a table's range-bitmap index; tables whose
@@ -342,6 +348,9 @@ def _encoded(
 #: consults cubes.
 BACKENDS = ("auto", "cube", "bitmap")
 
+#: Aggregate operations over a measure column; COUNT is the default.
+AGGREGATE_OPS = ("sum", "avg")
+
 
 def check_backend(backend: str) -> str:
     """Validate a backend name, returning it for chaining."""
@@ -352,46 +361,95 @@ def check_backend(backend: str) -> str:
     return backend
 
 
-def table_count_cube(
-    table: Table, artifacts=None, backend: str = "cube"
-):
-    """The (QI..., SA) prefix-sum cube for ``table``, or ``None``.
+def check_aggregate_op(op: str) -> str:
+    """Validate an aggregate op name, returning it for chaining."""
+    if op not in AGGREGATE_OPS:
+        raise ValueError(
+            f"unknown aggregate op {op!r}; expected one of {AGGREGATE_OPS}"
+        )
+    return op
 
-    With an artifact cache the cube is content-keyed as
-    ``("cube_table", table_digest)``.  ``backend="auto"`` only returns a
-    cube already in that cache, ``"cube"`` builds one (``None`` when
-    over budget), and ``"bitmap"`` always returns ``None``.
+
+def _measure_column(table: Table, measure_dim: int) -> np.ndarray:
+    if not 0 <= measure_dim < table.schema.n_qi:
+        raise ValueError(
+            f"measure_dim {measure_dim} out of range for a "
+            f"{table.schema.n_qi}-attribute QI"
+        )
+    return table.qi[:, measure_dim]
+
+
+def _divide(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """SUM ÷ COUNT with silent nan/inf where the denominator is zero."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return sums / counts
+
+
+def resolve_cube(
+    subject, artifacts=None, backend: str = "cube",
+    measure_dim: int | None = None,
+):
+    """The cube answering ``subject`` under ``backend``, or ``None``.
+
+    ``subject`` is a table — its (QI..., SA)
+    :class:`~repro.query.cube.PrefixSumCube`, for precise answers — or a
+    publication — its :class:`~repro.query.cube.CountCube`.  Cells count
+    rows, or with ``measure_dim`` sum that QI column.  A count cube the
+    publication store attached (``_count_cube``) is read first.  With an
+    artifact cache the cube is content-keyed as ``("cube_table",
+    table_digest)`` or ``("cube", publication_digest)``, plus the
+    measure dim last.  ``auto`` returns only a cube that already exists,
+    ``cube`` builds one (``None`` when over budget), and ``bitmap``
+    always returns ``None``: the bitmap engine must serve.
     """
     check_backend(backend)
-    if backend == "bitmap" or (backend == "auto" and artifacts is None):
-        return None
-    if artifacts is None:
-        return build_table_cube(table)
-    key = ("cube_table", artifacts.table_key(table))
-    if backend == "auto":
-        return artifacts.get(key)
-    return artifacts.get_or_build(key, lambda: build_table_cube(table))
-
-
-def _publication_cube(published, artifacts, backend: str) -> CountCube | None:
-    """The publication's :class:`CountCube` under ``backend`` semantics.
-
-    A cube the publication store attached (``_count_cube``) is read
-    first.  ``None`` means the bitmap engine must serve it — either the
-    backend forbids cubes, none has been materialized yet (``auto``), or
-    the domain exceeded the build budget (``cube``).
-    """
     if backend == "bitmap":
         return None
-    attached = getattr(published, "__dict__", {})
-    if "_count_cube" in attached:
+    attached = getattr(subject, "__dict__", {})
+    if measure_dim is None and "_count_cube" in attached:
         return attached["_count_cube"]
+    is_table = isinstance(subject, Table)
+    build = build_table_cube if is_table else build_count_cube
     if artifacts is None:
-        return build_count_cube(published) if backend == "cube" else None
-    key = ("cube", artifacts.publication_key(published))
+        if backend == "auto":
+            return None
+        return build(subject, measure_dim=measure_dim)
+    if is_table:
+        key = ("cube_table", artifacts.table_key(subject))
+    else:
+        key = ("cube", artifacts.publication_key(subject))
+    if measure_dim is not None:
+        key += (measure_dim,)
     if backend == "auto":
         return artifacts.get(key)
-    return artifacts.get_or_build(key, lambda: build_count_cube(published))
+    return artifacts.get_or_build(
+        key, lambda: build(subject, measure_dim=measure_dim)
+    )
+
+
+def _precise(
+    table: Table, enc: EncodedWorkload, artifacts, backend: str,
+    measure_dim: int | None = None,
+) -> np.ndarray:
+    """Exact COUNTs (int64), or SUMs of a measure column (float64)."""
+    cube = resolve_cube(table, artifacts, backend, measure_dim)
+    if cube is not None:
+        lo = np.concatenate([enc.qi_lo, enc.sa_lo[:, None]], axis=1)
+        hi = np.concatenate([enc.qi_hi, enc.sa_hi[:, None]], axis=1)
+        return cube.range_sums(lo, hi)
+    engine = mask_engine(table, artifacts)
+    if measure_dim is None:
+        return engine.precise(enc)
+    measure = _measure_column(table, measure_dim)
+    sums = np.empty(enc.n_queries)
+    sa = table.sa
+    for start, stop in engine._blocks(enc.n_queries):
+        masks = engine.qi_mask_block(enc, start, stop)
+        masks &= sa[None, :] >= enc.sa_lo[start:stop, None]
+        masks &= sa[None, :] <= enc.sa_hi[start:stop, None]
+        for i in range(stop - start):
+            sums[start + i] = measure[masks[i]].sum()
+    return sums
 
 
 def answer_precise_batch(
@@ -419,20 +477,11 @@ def answer_precise_batch(
     """
     check_backend(backend)
     enc = _encoded(table, queries, artifacts)
-
-    def compute() -> np.ndarray:
-        cube = table_count_cube(table, artifacts, backend)
-        if cube is not None:
-            lo = np.concatenate([enc.qi_lo, enc.sa_lo[:, None]], axis=1)
-            hi = np.concatenate([enc.qi_hi, enc.sa_hi[:, None]], axis=1)
-            return cube.range_sums(lo, hi)
-        return mask_engine(table, artifacts).precise(enc)
-
     if artifacts is None:
-        return compute()
+        return _precise(table, enc, None, backend)
 
     def build() -> np.ndarray:
-        out = compute()
+        out = _precise(table, enc, artifacts, backend)
         out.setflags(write=False)
         return out
 
@@ -451,6 +500,7 @@ _ANSWERERS = (
     (AnatomyTable, AnatomyAnswerer),
     (BaselinePublication, BaselineAnswerer),
 )
+_ANSWERER_TYPES = tuple(answerer for _, answerer in _ANSWERERS)
 
 
 def make_answerer(published):
@@ -463,32 +513,124 @@ def make_answerer(published):
     )
 
 
-def _coerce_answerer(published_or_answerer):
-    """Accept a publication, a prebuilt answerer (its caches survive),
-    or any plain per-query callable."""
-    if hasattr(published_or_answerer, "batch"):
+def _as_answerer(published_or_answerer):
+    """A prebuilt answerer as is (its caches survive), else the
+    publication's :func:`make_answerer`."""
+    if isinstance(published_or_answerer, _ANSWERER_TYPES):
         return published_or_answerer
-    try:
-        return make_answerer(published_or_answerer)
-    except TypeError:
-        if callable(published_or_answerer):
-            return published_or_answerer
-        raise
+    return make_answerer(published_or_answerer)
 
 
-def _source_of(answerer) -> Table | None:
-    published = getattr(answerer, "published", None)
-    return getattr(published, "source", None)
+def _answerers(table: Table, publications: Mapping[str, object]) -> dict:
+    """Name → answerer, each checked to be over ``table`` — by identity
+    or by content: a publication reloaded from a store embeds a
+    reconstructed source object that is equal to, but not identical to,
+    the caller's table."""
+    answerers = {}
+    for name, value in publications.items():
+        answerer = _as_answerer(value)
+        source = answerer.published.source
+        if source is not table and table_digest(source) != table_digest(table):
+            raise ValueError(
+                f"publication {name!r} was built over a different table"
+            )
+        answerers[name] = answerer
+    return answerers
 
 
-def _check_source(name: str, source: Table, table: Table) -> None:
-    """A publication must be over ``table`` — by identity or by content:
-    a publication reloaded from a store embeds a reconstructed source
-    object that is equal to, but not identical to, the caller's table."""
-    if source is not table and table_digest(source) != table_digest(table):
-        raise ValueError(
-            f"publication {name!r} was built over a different table"
-        )
+def _estimate(
+    table: Table,
+    answerers: dict,
+    enc: EncodedWorkload,
+    artifacts,
+    backend: str,
+    served: dict,
+    measure_dim: int | None,
+) -> "dict[str, np.ndarray]":
+    """One pass of the answering seam: COUNT estimates, or with
+    ``measure_dim`` SUM estimates (COUNT is SUM with unit weights).
+
+    Generalized publications go to their EC kernel.  Every other kind's
+    estimate is one functional of a per-query histogram, read from the
+    kind's cube when one resolves, else reduced per query from the
+    shared bitmap QI masks (a Baseline COUNT, which needs only QI-match
+    sizes, takes the popcount kernel instead).
+    """
+    out: dict[str, np.ndarray] = {}
+    mask_users: dict[str, object] = {}
+    for name, answerer in answerers.items():
+        if isinstance(answerer, GeneralizedAnswerer):
+            out[name] = answerer.batch(enc, measure_dim=measure_dim)
+            served[name] = "ec"
+            continue
+        cube = resolve_cube(answerer.published, artifacts, backend, measure_dim)
+        histograms = None if cube is None else cube.histograms(enc)
+        if histograms is not None:
+            out[name] = answerer.batch(enc, histograms=histograms)
+            served[name] = "cube"
+        else:
+            mask_users[name] = answerer
+            served[name] = "bitmap"
+    if not mask_users:
+        return out
+    engine = mask_engine(table, artifacts)
+    measure = None
+    if measure_dim is not None:
+        measure = _measure_column(table, measure_dim)
+    for name, answerer in list(mask_users.items()):
+        if measure is None and isinstance(answerer, BaselineAnswerer):
+            del mask_users[name]
+            out[name] = answerer.batch(enc, histograms=engine.qi_counts(enc))
+    for name in mask_users:
+        out[name] = np.empty(enc.n_queries)
+    blocks = engine._blocks(enc.n_queries) if mask_users else ()
+    for start, stop in blocks:
+        masks = engine.qi_mask_block(enc, start, stop)
+        chunk = enc.slice(start, stop)
+        for name, answerer in mask_users.items():
+            out[name][start:stop] = answerer.batch(
+                chunk, masks=masks, measure=measure
+            )
+    return out
+
+
+def answer_batch(
+    table: Table,
+    publications: Mapping[str, object],
+    queries: Sequence[CountQuery] | EncodedWorkload,
+    aggregate: "tuple[int, str] | None" = None,
+    *,
+    artifacts=None,
+    backend: str = "auto",
+    served: "dict[str, str] | None" = None,
+) -> "dict[str, np.ndarray]":
+    """COUNT, SUM or AVG estimates of every publication over one workload.
+
+    The seam behind :func:`batch_estimates`,
+    :func:`~repro.query.aggregates.batch_aggregate_estimates` and the
+    query service.  ``aggregate`` is ``None`` for COUNT or
+    ``(measure_dim, op)`` with ``op`` in :data:`AGGREGATE_OPS`; AVG is
+    the SUM estimate ÷ the COUNT estimate (``nan`` where that is zero).
+    ``served`` is filled with name → the backend label of the COUNT or
+    SUM pass.
+    """
+    check_backend(backend)
+    measure_dim = None
+    if aggregate is not None:
+        measure_dim, op = aggregate
+        check_aggregate_op(op)
+        _measure_column(table, measure_dim)
+    enc = _encoded(table, queries, artifacts)
+    answerers = _answerers(table, publications)
+    if served is None:
+        served = {}
+    out = _estimate(
+        table, answerers, enc, artifacts, backend, served, measure_dim
+    )
+    if aggregate is not None and op == "avg":
+        counts = _estimate(table, answerers, enc, artifacts, backend, {}, None)
+        out = {name: _divide(out[name], counts[name]) for name in out}
+    return {name: out[name] for name in answerers}
 
 
 def batch_estimates(
@@ -500,7 +642,7 @@ def batch_estimates(
     backend: str = "auto",
     served: "dict[str, str] | None" = None,
 ) -> "dict[str, np.ndarray]":
-    """Batch estimates of every publication over one workload.
+    """Batch COUNT estimates of every publication over one workload.
 
     Mask-consuming estimators (perturbed, Anatomy, Baseline) share one
     QI-mask source per (table, workload) — the point of the batched
@@ -522,74 +664,20 @@ def batch_estimates(
         backend: ``auto`` | ``cube`` | ``bitmap`` (see :data:`BACKENDS`).
         served: Optional dict the caller owns; filled with
             name → backend label that actually answered it: ``"cube"``,
-            ``"bitmap"``, ``"ec"`` (generalized publications are served
-            by their table-free EC answerer under every backend), or
-            ``"answerer"``/``"scalar"`` for generic estimators.
+            ``"bitmap"``, or ``"ec"`` (generalized publications are
+            served by their table-free EC kernel under every backend).
 
     Returns:
         Name → ``(Q,)`` float64 estimates, bit-identical to the scalar
         per-query answerers.
     """
-    check_backend(backend)
-    enc = _encoded(table, queries, artifacts)
-    answerers = {
-        name: _coerce_answerer(value) for name, value in publications.items()
-    }
-    for name, answerer in answerers.items():
-        source = _source_of(answerer)
-        if source is not None:
-            _check_source(name, source, table)
-    if served is None:
-        served = {}
-    out: dict[str, np.ndarray] = {}
-    mask_users: dict[str, object] = {}
-    count_users: dict[str, object] = {}
-    for name, answerer in answerers.items():
-        if isinstance(answerer, GeneralizedAnswerer):
-            out[name] = answerer.batch(enc)
-            served[name] = "ec"
-        elif isinstance(answerer, (PerturbedAnswerer, AnatomyAnswerer)):
-            cube = _publication_cube(answerer.published, artifacts, backend)
-            if cube is not None and cube.payload is not None:
-                histograms = cube.payload_counts(enc)
-                if isinstance(answerer, PerturbedAnswerer):
-                    out[name] = answerer.batch(enc, histograms=histograms)
-                else:
-                    out[name] = answerer.batch(enc, group_counts=histograms)
-                served[name] = "cube"
-            else:
-                mask_users[name] = answerer
-                served[name] = "bitmap"
-        elif isinstance(answerer, BaselineAnswerer):
-            cube = _publication_cube(answerer.published, artifacts, backend)
-            if cube is not None and cube.table is not None:
-                out[name] = answerer.batch(enc, qi_counts=cube.qi_counts(enc))
-                served[name] = "cube"
-            else:
-                count_users[name] = answerer
-                served[name] = "bitmap"
-        elif hasattr(answerer, "batch"):
-            out[name] = np.asarray(answerer.batch(enc))
-            served[name] = "answerer"
-        else:  # plain per-query callable
-            out[name] = np.array([answerer(q) for q in enc.queries])
-            served[name] = "scalar"
-    if mask_users or count_users:
-        engine = mask_engine(table, artifacts)
-    for name, answerer in count_users.items():
-        out[name] = answerer.batch(enc, qi_counts=engine.qi_counts(enc))
-    if mask_users:
-        for name in mask_users:
-            out[name] = np.empty(enc.n_queries)
-        for start, stop in engine._blocks(enc.n_queries):
-            masks = engine.qi_mask_block(enc, start, stop)
-            chunk = enc.slice(start, stop)
-            for name, answerer in mask_users.items():
-                out[name][start:stop] = answerer.batch(chunk, masks=masks)
-    return {name: out[name] for name in answerers}
+    return answer_batch(
+        table, publications, queries,
+        artifacts=artifacts, backend=backend, served=served,
+    )
 
 
-def _evaluate_workload(
+def evaluate_workload(
     table: Table,
     publications: Mapping[str, object],
     queries: Sequence[CountQuery] | EncodedWorkload,
@@ -601,10 +689,9 @@ def _evaluate_workload(
 
     Precise answers come from one batched pass, every estimator shares
     the same QI-mask source, and each publication gets a full
-    :class:`ErrorProfile` (Fig. 8/9 read ``.median``).  This is the
-    implementation behind both the deprecated module-level
-    :func:`evaluate_workload` and :meth:`repro.api.Dataset.evaluate`
-    (which supplies ``artifacts``).
+    :class:`ErrorProfile` (Fig. 8/9 read ``.median``).
+    :meth:`repro.api.Dataset.evaluate` calls this with its session's
+    ``artifacts``.
 
     Args:
         table: The source microdata.
@@ -628,33 +715,3 @@ def _evaluate_workload(
         name: error_profile(precise, estimate)
         for name, estimate in estimates.items()
     }
-
-
-evaluate_workload = deprecated_entry_point(
-    _evaluate_workload,
-    "repro.query.evaluate_workload()",
-    "repro.api.Dataset.evaluate()",
-)
-
-
-def workload_error(
-    source_table: Table,
-    queries: Sequence[CountQuery] | EncodedWorkload,
-    estimator,
-) -> float:
-    """Median relative error of ``estimator`` over a workload.
-
-    Batch-capable estimators (the four answerers, or anything with a
-    ``batch`` method) go through the shared-mask batched path; plain
-    per-query callables are still accepted.
-
-    Args:
-        source_table: The original :class:`~repro.dataset.table.Table`.
-        queries: The workload.
-        estimator: Answerer, publication, or callable mapping a query to
-            an estimated count.
-    """
-    enc = _encoded(source_table, queries)
-    precise = answer_precise_batch(source_table, enc)
-    estimates = batch_estimates(source_table, {"estimator": estimator}, enc)
-    return median_relative_error(precise, estimates["estimator"])

@@ -1,8 +1,8 @@
 """In-process concurrent query service over stored publications.
 
-The recipient-facing half of the service layer: clients submit COUNT
-queries against admitted publications and get estimates back.  Three
-mechanisms make the path cheap under heavy traffic:
+The recipient-facing half of the service layer: clients submit COUNT,
+SUM or AVG queries against admitted publications and get estimates
+back.  Three mechanisms make the path cheap under heavy traffic:
 
 * **micro-batching** — concurrent requests against the same publication
   are drained together and encoded into one
@@ -19,13 +19,18 @@ mechanisms make the path cheap under heavy traffic:
   entries, so the LRU bound still bounds memory;
 * **thread-pool execution** — worker threads serve different
   publications (or successive batches of one) concurrently; numpy
-  kernels release the GIL for the heavy parts.
+  kernels release the GIL for the heavy parts.  With
+  ``executor="process"`` a process pool answers the batches instead.
 
-Answers are **bit-identical** to calling
-:func:`repro.query.evaluate.evaluate_workload` /
-:func:`~repro.query.evaluate.batch_estimates` directly: per-query
-results do not depend on how requests are grouped into batches, because
-every batch kernel computes each query's estimate independently.
+Every batch, whatever its operation, is one call of the query layer's
+answering seam (:func:`repro.query.evaluate.answer_batch`, in this
+process or in a pool worker), which also reports the backend label
+that answered it.  Answers are **bit-identical** to calling
+:func:`~repro.query.evaluate.batch_estimates` /
+:func:`~repro.query.aggregates.batch_aggregate_estimates` directly:
+per-query results do not depend on how requests are grouped into
+batches, because every batch kernel computes each query's estimate
+independently.
 """
 
 from __future__ import annotations
@@ -40,8 +45,12 @@ from typing import Sequence
 import numpy as np
 
 from ..obs import NULL_SPAN, MetricsRegistry, coerce_telemetry
-from ..query.aggregates import batch_aggregate_estimates, check_aggregate_op
-from ..query.evaluate import batch_estimates, check_backend, make_answerer
+from ..query.evaluate import (
+    answer_batch,
+    check_aggregate_op,
+    check_backend,
+    make_answerer,
+)
 from ..query.workload import CountQuery, EncodedWorkload
 from .store import PublicationRecord, PublicationStore
 
@@ -77,8 +86,7 @@ class ServiceStats:
     into a private registry and keeps counting exactly as before.
 
     Metric names are precomputed (no string formatting on the request
-    path) and the legacy attribute surface (``stats.requests``, ...)
-    reads through to the registry.
+    path); read counters through :meth:`snapshot` or the registry.
     """
 
     #: Snapshot keys → registry metric names (backend labels aside).
@@ -113,25 +121,9 @@ class ServiceStats:
             self._backend_metrics[label] = metric
         self.registry.inc(metric)
 
-    def __getattr__(self, name: str) -> int:
-        full = ServiceStats._FULL.get(name)
-        if full is None:
-            raise AttributeError(name)
-        return int(self.registry.value(full))
-
-    @property
-    def served_by_backend(self) -> dict:
-        """Batches answered per backend label ("cube" / "bitmap" / "ec")."""
-        counters = self.registry.export()["counters"]
-        prefix = self._BACKEND_PREFIX
-        return {
-            name[len(prefix):]: int(value)
-            for name, value in counters.items()
-            if name.startswith(prefix)
-        }
-
     def snapshot(self) -> dict:
-        """Deep-copied snapshot of every counter (legacy key layout)."""
+        """Deep-copied snapshot of every counter; ``served_by_backend``
+        maps a backend label ("cube" / "bitmap" / "ec") to its batches."""
         counters = self.registry.export()["counters"]
         batches = int(counters.get("service.batches", 0))
         batched = int(counters.get("service.batched_queries", 0))
@@ -156,7 +148,7 @@ class ServiceStats:
 
 
 class QueryService:
-    """Thread-pooled, micro-batching COUNT serving over a store.
+    """Thread-pooled, micro-batching COUNT/SUM/AVG serving over a store.
 
     Args:
         store: The :class:`PublicationStore` to serve from.
@@ -180,17 +172,18 @@ class QueryService:
             ``workers``-process pool
             (:class:`repro.parallel.ProcessEvaluator`) — publications
             ship to the pool once via shared memory, and answers are
-            bit-identical to the thread path because the same batched
-            kernels run over content-equal state.
+            bit-identical to the thread path because the same answering
+            seam runs over content-equal state.
         backend: Answer-backend preference —
             ``"auto"`` (default) serves from the count cube a store
             admission attached to the publication and falls back to the
             bitmap engine, ``"cube"`` additionally builds missing cubes
             on first use, ``"bitmap"`` never consults cubes.  Estimates
             are bit-identical either way; :attr:`ServiceStats` records
-            which backend answered each batch.  The process executor
-            always serves via the bitmap engine (cubes stay in this
-            process).
+            which backend answered each batch.  The process executor's
+            workers hold no cubes (they stay in this process), so there
+            only generalized publications leave the bitmap engine, for
+            their EC kernel.
         telemetry: Optional :class:`repro.obs.Telemetry`.  When enabled,
             :attr:`stats` counts into its registry (so the service's
             counters appear in the session's metric snapshot), every
@@ -286,7 +279,8 @@ class QueryService:
         estimate.  ``aggregate=(measure_dim, op)`` with ``op`` in
         ``("sum", "avg")`` asks for the SUM/AVG estimate of QI dimension
         ``measure_dim`` over the query's selection instead, served
-        through :func:`repro.query.aggregates.batch_aggregate_estimates`.
+        through the same seam as COUNT
+        (:func:`repro.query.evaluate.answer_batch`).
         Requests micro-batch per ``(publication, aggregate)`` key, so
         COUNTs and each aggregate shape drain into separate batches.
         """
@@ -432,11 +426,7 @@ class QueryService:
                             self._artifacts.table_key(s.table) == table_digest
                             for s in self._cache.values()
                         ):
-                            for kind in (
-                                "mask_engine",
-                                "cube_table",
-                                "cube_measure_table",
-                            ):
+                            for kind in ("mask_engine", "cube_table"):
                                 self._artifacts.invalidate(
                                     kind, digest=table_digest
                                 )
@@ -513,35 +503,22 @@ class QueryService:
             with span:
                 serving = self._serving(pub_id)
                 enc = EncodedWorkload.encode(serving.schema, queries)
-                if aggregate is not None:
-                    served: dict = {}
-                    estimates = batch_aggregate_estimates(
-                        serving.table,
-                        {"served": serving.answerer},
-                        enc,
-                        aggregate[0],
-                        aggregate[1],
-                        artifacts=self._artifacts,
-                        backend=self._backend,
-                        served=served,
-                    )["served"]
-                    label = served.get("served", "bitmap")
-                elif self._evaluator is not None:
-                    estimates = self._evaluator.estimates(
-                        serving.publication, enc
+                if self._evaluator is not None:
+                    estimates, label = self._evaluator.answer(
+                        serving.publication, enc, aggregate
                     )
-                    label = "bitmap"  # cubes are not shipped to the pool
                 else:
-                    served = {}
-                    estimates = batch_estimates(
+                    served: dict = {}
+                    estimates = answer_batch(
                         serving.table,
                         {"served": serving.answerer},
                         enc,
+                        aggregate,
                         artifacts=self._artifacts,
                         backend=self._backend,
                         served=served,
                     )["served"]
-                    label = served.get("served", "bitmap")
+                    label = served["served"]
                 span.set("backend", label)
         except BaseException as exc:  # noqa: BLE001 - forwarded to clients
             for future in futures:

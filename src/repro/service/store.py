@@ -33,7 +33,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from ..anonymity.anatomy import BaselinePublication
-from ..audit.evaluate import _audit_publications
+from ..audit.evaluate import audit_publications
 from ..audit.view import publication_view
 from ..core.model import BetaLikeness
 from ..core.perturb import PerturbationScheme, PerturbedTable
@@ -83,7 +83,7 @@ def _certify_grouped(
     The view is built once and serves both the audit and the β check.
     """
     view = publication_view(published, cache=cache)
-    report = _audit_publications(
+    report = audit_publications(
         published.source, {"candidate": view}, ordered_emd=ordered_emd
     )["candidate"]
     privacy = report.privacy

@@ -178,63 +178,6 @@ class TestAlloc001:
 
 
 # ---------------------------------------------------------------------------
-# DEPR001: internal callers of deprecated entry points
-# ---------------------------------------------------------------------------
-
-
-class TestDepr001:
-    def test_known_shim_call(self, tmp_path):
-        result = lint_snippet(
-            tmp_path,
-            "from repro.core.burel import burel\n"
-            "def publish(table):\n"
-            "    return burel(table, beta=0.1)\n",
-        )
-        assert rules_hit(result) == ["DEPR001"]
-        assert "'burel'" in result.findings[0].message
-
-    def test_private_impl_is_clean(self, tmp_path):
-        result = lint_snippet(
-            tmp_path,
-            "from repro.core.burel import _burel as burel\n"
-            "def publish(table):\n"
-            "    return burel(table, beta=0.1)\n",
-        )
-        assert result.findings == []
-
-    def test_collected_shim_and_reexport(self, tmp_path):
-        # The shim module binds the name via deprecated_entry_point; a
-        # second module re-exports it; a third calls the re-export.
-        (tmp_path / "repro").mkdir()
-        (tmp_path / "repro" / "__init__.py").write_text(
-            "from .shim import thing\n"
-        )
-        (tmp_path / "repro" / "shim.py").write_text(
-            "from repro._deprecation import deprecated_entry_point\n"
-            "def _thing():\n"
-            "    return 1\n"
-            "thing = deprecated_entry_point(_thing, 'use _thing')\n"
-        )
-        (tmp_path / "repro" / "caller.py").write_text(
-            "from repro import thing\n"
-            "def go():\n"
-            "    return thing()\n"
-        )
-        result = lint_paths([tmp_path / "repro"], root=tmp_path)
-        assert rules_hit(result) == ["DEPR001"]
-        assert result.findings[0].path == "repro/caller.py"
-
-    def test_import_alone_is_clean(self, tmp_path):
-        # Re-exporting a shim (no call) is how the public API works.
-        result = lint_snippet(
-            tmp_path,
-            "from repro.core.burel import burel\n"
-            "__all__ = ['burel']\n",
-        )
-        assert result.findings == []
-
-
-# ---------------------------------------------------------------------------
 # PICKLE001: unpicklable process-pool tasks
 # ---------------------------------------------------------------------------
 
@@ -731,7 +674,6 @@ class TestReporting:
         for rule_id in (
             "RNG001",
             "ALLOC001",
-            "DEPR001",
             "PICKLE001",
             "OBS001",
             "CACHE001",

@@ -1,20 +1,17 @@
 """The repro.api session facade: byte-identity against the direct layer
-calls, artifact-cache semantics, sweep determinism, deprecation shims."""
+calls, artifact-cache semantics, sweep determinism, legacy entry points."""
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
 
-import repro._deprecation as deprecation
 from repro.anonymity import BaselinePublication
 from repro.api import ArtifactCache, Dataset
-from repro.audit.evaluate import _audit_publications
+from repro.audit.evaluate import audit_publications
 from repro.engine import run as engine_run
 from repro.io import publication_digest, table_digest
-from repro.query.evaluate import _evaluate_workload
+from repro.query.evaluate import evaluate_workload
 from repro.service import CertificationError, PublicationStore
 from repro.service.store import certify_publication
 
@@ -78,7 +75,7 @@ class TestByteIdentity:
 
     def test_evaluate_all_kinds(self, dataset, publications, workload):
         facade = dataset.evaluate(publications, workload)
-        direct = _evaluate_workload(dataset.table, publications, workload)
+        direct = evaluate_workload(dataset.table, publications, workload)
         assert list(facade) == list(KINDS)
         for kind in KINDS:
             assert facade[kind] == direct[kind], kind
@@ -90,7 +87,7 @@ class TestByteIdentity:
         facade = dataset.audit(
             grouped, attacks=("skewness",), ordered_emd=True
         )
-        direct = _audit_publications(
+        direct = audit_publications(
             dataset.table, grouped, attacks=("skewness",), ordered_emd=True
         )
         for kind, report in facade.items():
@@ -100,7 +97,7 @@ class TestByteIdentity:
 
     def test_run_audit_with_attack(self, dataset, runs):
         facade = runs["generalized"].audit(attacks=("naive_bayes",))
-        direct = _audit_publications(
+        direct = audit_publications(
             dataset.table,
             {"run": runs["generalized"].published},
             attacks=("naive_bayes",),
@@ -148,7 +145,7 @@ class TestByteIdentity:
             facade_profile = dataset.evaluate(
                 {"reloaded": reloaded}, workload
             )["reloaded"]
-            direct_profile = _evaluate_workload(
+            direct_profile = evaluate_workload(
                 dataset.table, {"p": publications[kind]}, workload
             )["p"]
             assert facade_profile == direct_profile, kind
@@ -366,43 +363,24 @@ class TestSweep:
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims
+# Legacy layer entry points vs the facade
 # ----------------------------------------------------------------------
 
 
 class TestDeprecationShims:
-    @pytest.fixture(autouse=True)
-    def _fresh_warnings(self):
-        deprecation.reset_warned()
-        yield
-        deprecation.reset_warned()
-
     def test_legacy_entry_points_warn_once_and_agree(self, dataset, workload):
+        """The pre-facade layer entry points equal the facade byte for
+        byte.  (The names predate the removal of their warn-once
+        deprecation shims; the ids are kept stable.)"""
         from repro import audit_publications, burel
         from repro.query import evaluate_workload
 
         table = dataset.table
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = burel(table, 2.0)
-            legacy_eval = evaluate_workload(
-                table, {"p": legacy.published}, workload
-            )["p"]
-            legacy_audit = audit_publications(
-                table, {"p": legacy.published}
-            )["p"]
-            # Second calls must stay silent.
-            burel(table, 2.0)
-            evaluate_workload(table, {"p": legacy.published}, workload)
-            audit_publications(table, {"p": legacy.published})
-        messages = [
-            str(w.message)
-            for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and str(w.message).startswith("repro.")
-        ]
-        assert len(messages) == 3
-        assert all("repro.api" in m for m in messages)
+        legacy = burel(table, 2.0)
+        legacy_eval = evaluate_workload(
+            table, {"p": legacy.published}, workload
+        )["p"]
+        legacy_audit = audit_publications(table, {"p": legacy.published})["p"]
 
         run = dataset.anonymize("burel", beta=2.0)
         assert publication_digest(run.published) == publication_digest(

@@ -106,8 +106,7 @@ def test_chain_builds_no_per_group_records(table, tmp_path, monkeypatch):
                 assert publication_digest(reloaded) == record.pub_id
                 counts = service.answer(record.pub_id, queries)
                 assert np.isfinite(counts).all()
-                if executor == "thread":
-                    service.answer_aggregate(record.pub_id, queries, 0, "avg")
+                service.answer_aggregate(record.pub_id, queries, 0, "avg")
 
     # sharded anonymize → audit → evaluate, both kinds, pooled and inline.
     for algorithm, params, workers in (

@@ -29,7 +29,6 @@ from repro.query import (
     batch_aggregate_precise,
     batch_estimates,
     build_count_cube,
-    build_measure_cube,
     check_backend,
     make_workload,
 )
@@ -487,6 +486,16 @@ class TestServiceBackends:
             service.answer(second.pub_id, w)
             assert ("cube", first.pub_id) not in cache
             assert ("cube", second.pub_id) in cache
+        # A SUM under backend="cube" builds measure cubes, keyed with the
+        # measure dim last; they too leave with the evicted publication.
+        with QueryService(
+            store, cache_size=1, artifact_cache=cache, backend="cube"
+        ) as service:
+            service.answer_aggregate(first.pub_id, w, 0, "sum")
+            assert ("cube", first.pub_id, 0) in cache
+            service.answer_aggregate(second.pub_id, w, 0, "sum")
+            assert ("cube", first.pub_id, 0) not in cache
+            assert ("cube", second.pub_id, 0) in cache
 
 
 # ----------------------------------------------------------------------
@@ -559,36 +568,44 @@ class TestAggregates:
     def test_estimates_scalar_vs_batch_vs_cube(
         self, census_small, publications, workload, op
     ):
-        queries = workload[::6]  # scalar reference loop is the slow part
-        via_bitmap = batch_aggregate_estimates(
-            census_small, publications, queries, self.MEASURE, op,
-            backend="bitmap",
-        )
-        for published in publications.values():
-            _fresh(published)
-        served = {}
-        via_cube = batch_aggregate_estimates(
-            census_small, publications, queries, self.MEASURE, op,
-            backend="cube", served=served,
-        )
-        assert served["generalized"] == "ec"
-        for name in ("perturbed", "anatomy", "baseline"):
-            assert served[name] == "cube"
-        for name, published in publications.items():
-            scalar = np.array(
-                [
-                    answer_aggregate(published, q, self.MEASURE, op)
-                    for q in queries
-                ]
-            )
-            assert np.array_equal(scalar, via_bitmap[name], equal_nan=True), name
-            assert np.array_equal(
-                via_cube[name], via_bitmap[name], equal_nan=True
-            ), name
+        d = census_small.schema.n_qi
+        # One λ = d pattern of 130 queries: the EC kernel then runs three
+        # 64-query chunks with the measure dimension constrained.
+        one_pattern = make_workload(census_small.schema, 130, d, 0.2, rng=8)
+        for queries in (workload[::6], one_pattern):
+            for measure_dim in (0, d - 1):
+                via_bitmap = batch_aggregate_estimates(
+                    census_small, publications, queries, measure_dim, op,
+                    backend="bitmap",
+                )
+                for published in publications.values():
+                    _fresh(published)
+                served = {}
+                via_cube = batch_aggregate_estimates(
+                    census_small, publications, queries, measure_dim, op,
+                    backend="cube", served=served,
+                )
+                assert served["generalized"] == "ec"
+                for name in ("perturbed", "anatomy", "baseline"):
+                    assert served[name] == "cube"
+                for name, published in publications.items():
+                    scalar = np.array(
+                        [
+                            answer_aggregate(published, q, measure_dim, op)
+                            for q in queries
+                        ]
+                    )
+                    key = (name, measure_dim)
+                    assert np.array_equal(
+                        scalar, via_bitmap[name], equal_nan=True
+                    ), key
+                    assert np.array_equal(
+                        via_cube[name], via_bitmap[name], equal_nan=True
+                    ), key
 
     def test_measure_cube_built_per_kind(self, census_small, publications):
         for name, published in publications.items():
-            cube = build_measure_cube(published, self.MEASURE)
+            cube = build_count_cube(published, measure_dim=self.MEASURE)
             if name == "generalized":
                 continue  # EC estimator is table-free
             assert cube is not None, name

@@ -12,7 +12,7 @@ from repro.anonymity import BaselinePublication, anatomize
 from repro.anonymity.anatomy import AnatomyTable
 from repro.api import ArtifactCache
 from repro.audit import privacy_profile, publication_view
-from repro.audit.evaluate import _audit_publications
+from repro.audit.evaluate import audit_publications
 from repro.core import burel, perturb_table
 from repro.dataset import Table, make_census
 from repro.query import (
@@ -31,7 +31,6 @@ from repro.query import (
     make_workload,
     median_relative_error,
     qi_mask,
-    workload_error,
 )
 from repro.query.aggregates import batch_aggregate_estimates
 from repro.query.evaluate import TableMaskEngine, mask_engine
@@ -213,16 +212,6 @@ class TestEvaluateWorkload:
         with pytest.raises(ValueError, match="different table"):
             evaluate_workload(census_small, {"b": publication}, workload)
 
-    def test_workload_error_batch_and_scalar_paths_agree(
-        self, census_small, workload
-    ):
-        answerer = GeneralizedAnswerer(burel(census_small, 3.0).published)
-        batched = workload_error(census_small, workload, answerer)
-        plain = workload_error(
-            census_small, workload, lambda q: answerer(q)
-        )
-        assert batched == plain
-
     def test_unknown_publication_type_raises(self, census_small, workload):
         with pytest.raises(TypeError, match="no answerer"):
             evaluate_workload(census_small, {"x": object()}, workload)
@@ -318,8 +307,8 @@ class TestCacheHygiene:
         via_copy = batch_estimates(copy, {"p": published}, workload)["p"]
         direct = batch_estimates(census_small, {"p": published}, workload)
         assert np.array_equal(via_copy, direct["p"])
-        audited = _audit_publications(copy, {"p": published})["p"]
-        assert audited == _audit_publications(
+        audited = audit_publications(copy, {"p": published})["p"]
+        assert audited == audit_publications(
             census_small, {"p": published}
         )["p"]
 

@@ -490,9 +490,10 @@ class TestServiceTelemetry:
         store, record, _ = served
         with QueryService(store, workers=1) as service:
             service.answer(record.pub_id, workload)
-            assert service.stats.requests == len(workload)
-            assert service.stats.batches >= 1
-            assert service.stats.served_by_backend.get("ec", 0) >= 1
+            snap = service.stats_snapshot()
+            assert snap["requests"] == len(workload)
+            assert snap["batches"] >= 1
+            assert snap["served_by_backend"].get("ec", 0) >= 1
 
     def test_enabled_service_counts_into_session_registry(
         self, served, workload

@@ -12,7 +12,12 @@ import pytest
 
 from repro.api import ArtifactCache, Dataset
 from repro.core.retrieve import qi_space_keys
-from repro.dataset import synthetic, synthetic_schema, zipf_distribution
+from repro.dataset import (
+    make_census,
+    synthetic,
+    synthetic_schema,
+    zipf_distribution,
+)
 from repro.engine.batch import EngineJob, PreparedTable, run_many
 from repro.io import publication_digest, table_digest
 from repro.parallel import (
@@ -382,6 +387,17 @@ class TestMergeIdentity:
         with pytest.raises(TypeError, match="no per-shard group"):
             _sharded(table, 1, 2).anonymize("perturb", seed=0, beta=2.0)
 
+    def test_failing_shard_is_named(self):
+        """A shard that fails eligibility is reported as that shard, not
+        as the whole table (which anonymizes fine unsharded)."""
+        ds = Dataset(make_census(4000, seed=11))
+        assert len(ds.anonymize("sabre", t=0.35, rng=5).published) == 12
+        with pytest.raises(
+            ValueError, match=r"^shard 0 of 3 \(1333 rows\): "
+        ) as raised:
+            ds.anonymize("sabre", t=0.35, rng=5, shards=3)
+        assert "eligibility" in str(raised.value.__cause__)
+
     def test_merged_provenance_records_shards(self, table):
         run = _sharded(table, 1, 3).anonymize("burel", beta=2.0)
         records = run.provenance["sharded"]["shards"]
@@ -492,6 +508,22 @@ class TestProcessServing:
             np.testing.assert_array_equal(
                 pooled.answer(record.pub_id, workload), expected
             )
+
+    def test_process_mode_labels_ec(self, dataset, workload, tmp_path):
+        """The pool reports the backend that answered: a generalized
+        publication is served by its EC kernel, which is no cube
+        fallback."""
+        run = dataset.anonymize("burel", beta=2.0)
+        store = PublicationStore(tmp_path, cache=dataset.cache)
+        record = run.publish(store, requirement={"beta": 2.0})
+        with QueryService(store, workers=2, executor="process") as pooled:
+            pooled.answer(record.pub_id, workload)
+            assert pooled.serving_backend(record.pub_id) == "ec"
+            pooled.answer_aggregate(record.pub_id, workload, 0, "avg")
+            assert pooled.serving_backend(record.pub_id) == "ec"
+            stats = pooled.stats_snapshot()
+        assert stats["cube_fallbacks"] == 0
+        assert set(stats["served_by_backend"]) == {"ec"}
 
     @pytest.mark.skipif(
         multiprocessing.get_context().get_start_method() != "fork",
