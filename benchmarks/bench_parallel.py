@@ -16,12 +16,13 @@ three ways:
 
 The headline number is the pooled chain's speedup over the unsharded
 single-process chain.  Two effects compound: the pool overlaps shard
-work across cores, and each shard's bitmap index fits the
-128 MB budget that the whole-table index blows through (so shards
-answer queries via precise popcounts while the unsharded path falls
-back to chunked mask broadcasting).  ``cpu_count`` is recorded so the
-two effects can be told apart across machines — on a single-core host
-the architectural effect is the whole speedup.
+work across cores, and each shard's bitmap index fits the 128 MB
+budget that the whole-table index blows through (so shards answer
+queries via precise popcounts while the unsharded path scans
+zone-mapped row blocks, which touch only the blocks a query's box
+boundary cuts).  ``cpu_count`` is recorded so the two effects can be
+told apart across machines — on a single-core host the architectural
+effect is the whole speedup.
 
 Identity is asserted, not assumed:
 

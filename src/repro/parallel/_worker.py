@@ -31,6 +31,7 @@ from ..engine.batch import PreparedTable
 from ..engine.registry import run as engine_run
 from ..engine.shard import ShardPiece, run_shard, shard_error
 from ..io import publication_from_payload
+from ..query.cube import CountCube
 from ..query.evaluate import (
     answer_batch,
     answer_precise_batch,
@@ -277,6 +278,9 @@ def load_publication_payload(digest: str, meta: dict, array_handles: dict):
     }
     publication = publication_from_payload(meta, arrays)
     publication._content_digest = digest
+    cube_meta = meta.get("aux_cube")
+    if cube_meta is not None:
+        publication._count_cube = CountCube.from_payload(cube_meta, arrays)
     from ..query.evaluate import make_answerer
 
     _PUBS[digest] = (publication, make_answerer(publication))
@@ -289,9 +293,11 @@ def serve_estimates(
     aggregate: "tuple[int, str] | None" = None,
     meta: dict | None = None,
     array_handles: dict | None = None,
+    backend: str = "auto",
 ) -> "tuple[np.ndarray, str]":
     """COUNT/SUM/AVG estimates for a served publication, by content
-    digest, with the backend label the answering seam reports.
+    digest, under the service's ``backend``, with the backend label the
+    answering seam reports.
 
     The first task naming a digest carries the payload handles; any
     worker that has not yet materialized the publication does so on
@@ -312,6 +318,7 @@ def serve_estimates(
         enc,
         aggregate,
         artifacts=_artifact_cache(),
+        backend=backend,
         served=served,
     )["served"]
     return estimates, served["served"]

@@ -581,12 +581,18 @@ class ProcessEvaluator:
         self._closed = False
 
     def register(self, publication) -> str:
-        """Share a publication's payload; returns its content digest."""
+        """Share a publication's payload, with the count cube attached
+        to it (a store load attaches one); returns its content digest."""
         from ..io import publication_digest, publication_payload
 
         digest = publication_digest(publication)
         if digest not in self._payloads:
             meta, arrays = publication_payload(publication)
+            cube = getattr(publication, "_count_cube", None)
+            if cube is not None:
+                cube_meta, cube_arrays = cube.to_payload()
+                meta = {**meta, "aux_cube": cube_meta}
+                arrays = {**arrays, **cube_arrays}
             handles = {
                 name: self._shm.share(array)
                 for name, array in arrays.items()
@@ -595,17 +601,19 @@ class ProcessEvaluator:
         return digest
 
     def answer(
-        self, publication, enc: EncodedWorkload, aggregate=None
+        self, publication, enc: EncodedWorkload, aggregate=None,
+        backend: str = "auto",
     ) -> "tuple[np.ndarray, str]":
         """COUNT (``aggregate=None``) or ``(measure_dim, op)`` SUM/AVG
-        estimates of one publication over one encoded batch, with the
-        backend label that answered it."""
+        estimates of one publication over one encoded batch under
+        ``backend``, with the backend label that answered it."""
         if self._closed:
             raise RuntimeError("the evaluator is closed")
         digest = self.register(publication)
         meta, handles = self._payloads[digest]
         return self._pool.submit(
-            _worker.serve_estimates, digest, enc, aggregate, meta, handles
+            _worker.serve_estimates, digest, enc, aggregate, meta, handles,
+            backend,
         ).result()
 
     def estimates(

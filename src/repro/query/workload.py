@@ -112,6 +112,33 @@ def make_workload(
     return [make_query(schema, lam, theta, rng) for _ in range(n_queries)]
 
 
+class QueryTuple(tuple):
+    """A workload's queries as a tuple that hashes its content once.
+
+    The artifact cache keys a workload's encoding and precise answers by
+    its queries.  A plain tuple rehashes every query on each dictionary
+    probe — about 1 ms per probe for 2,000 queries, several probes per
+    cache lookup — while this key hashes on first use and keeps the
+    value.  Equality stays tuple equality, so a regenerated equal
+    workload is an equal key.
+    """
+
+    def __new__(cls, queries: "Sequence[CountQuery]" = ()):
+        # Like ``tuple(t) is t``: re-wrapping keeps the one cached hash.
+        if type(queries) is cls:
+            return queries
+        return super().__new__(cls, queries)
+
+    def __hash__(self) -> int:
+        cached = getattr(self, "_hash", None)
+        if cached is None:
+            cached = self._hash = tuple.__hash__(self)
+        return cached
+
+    def __reduce__(self):
+        return QueryTuple, (tuple(self),)
+
+
 @dataclass(frozen=True)
 class EncodedWorkload:
     """A workload as dense arrays, the batched evaluator's input format.
@@ -126,7 +153,8 @@ class EncodedWorkload:
     unchanged.
 
     Attributes:
-        queries: The original :class:`CountQuery` objects, in order.
+        queries: The original :class:`CountQuery` objects, in order, as
+            a :class:`QueryTuple` (the workload's cache key).
         qi_lo / qi_hi: ``(Q, d)`` inclusive QI bounds.
         constrained: ``(Q, d)`` bool; True where the query has a predicate.
         sa_lo / sa_hi: ``(Q,)`` inclusive SA bounds.
@@ -167,7 +195,7 @@ class EncodedWorkload:
         """Encode ``queries``; passes an already-encoded workload through."""
         if isinstance(queries, EncodedWorkload):
             return queries
-        queries = tuple(queries)
+        queries = QueryTuple(queries)
         q_n = len(queries)
         d = schema.n_qi
         qi_lo = np.empty((q_n, d), dtype=np.int64)

@@ -180,10 +180,10 @@ class QueryService:
             bitmap engine, ``"cube"`` additionally builds missing cubes
             on first use, ``"bitmap"`` never consults cubes.  Estimates
             are bit-identical either way; :attr:`ServiceStats` records
-            which backend answered each batch.  The process executor's
-            workers hold no cubes (they stay in this process), so there
-            only generalized publications leave the bitmap engine, for
-            their EC kernel.
+            which backend answered each batch.  The process executor
+            ships each publication's attached cube with its payload and
+            runs its workers under the same backend, so both executors
+            serve each batch the same way.
         telemetry: Optional :class:`repro.obs.Telemetry`.  When enabled,
             :attr:`stats` counts into its registry (so the service's
             counters appear in the session's metric snapshot), every
@@ -505,7 +505,7 @@ class QueryService:
                 enc = EncodedWorkload.encode(serving.schema, queries)
                 if self._evaluator is not None:
                     estimates, label = self._evaluator.answer(
-                        serving.publication, enc, aggregate
+                        serving.publication, enc, aggregate, self._backend
                     )
                 else:
                     served: dict = {}

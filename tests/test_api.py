@@ -11,6 +11,7 @@ from repro.api import ArtifactCache, Dataset
 from repro.audit.evaluate import audit_publications
 from repro.engine import run as engine_run
 from repro.io import publication_digest, table_digest
+from repro.query import make_workload
 from repro.query.evaluate import evaluate_workload
 from repro.service import CertificationError, PublicationStore
 from repro.service.store import certify_publication
@@ -470,6 +471,25 @@ class TestVersionedDataset:
                                       old_keys)
         np.testing.assert_array_equal(
             vds.sa_distribution(), vds.table.sa_distribution()
+        )
+
+    def test_append_drops_superseded_engines(self, vds):
+        from repro.query.evaluate import resolve_cube
+
+        queries = make_workload(vds.schema, 40, 2, 0.2, rng=4)
+        vds.mask_engine()
+        resolve_cube(vds.table, vds.cache, "cube")
+        old_key = vds.content_key
+        for kind in ("mask_engine", "cube_table"):
+            assert (kind, old_key) in vds.cache
+        delta = _clustered_delta(vds.table, vds.version_state().plan, 1,
+                                 60, seed=12)
+        vds.append(delta)
+        assert not [key for key in vds.cache.keys()
+                    if key[0] in ("mask_engine", "cube_table")
+                    and old_key in key[1:]]
+        np.testing.assert_array_equal(
+            vds.precise(queries), Dataset(vds.table).precise(queries)
         )
 
     def test_refresh_hits_clean_entries(self, vds):

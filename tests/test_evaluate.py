@@ -3,18 +3,28 @@ shared-mask/bitmap machinery, precise caching, and the query-layer
 bugfix regressions (anatomy coverage, workload rng contract)."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.anonymity import BaselinePublication, anatomize
 from repro.anonymity.anatomy import AnatomyTable
-from repro.api import ArtifactCache
+from repro.api import ArtifactCache, Dataset
 from repro.audit import privacy_profile, publication_view
 from repro.audit.evaluate import audit_publications
 from repro.core import burel, perturb_table
-from repro.dataset import Table, make_census
+from repro.dataset import (
+    Attribute,
+    Schema,
+    SensitiveAttribute,
+    Table,
+    make_census,
+    synthetic,
+)
 from repro.query import (
     AnatomyAnswerer,
     BaselineAnswerer,
@@ -67,6 +77,64 @@ class TestEncodedWorkload:
         assert np.array_equal(part.sa_lo, enc.sa_lo[10:25])
 
 
+def _random_range(rng, lo: int, hi: int) -> tuple[int, int]:
+    """An inclusive range against domain ``[lo, hi]``: in-domain,
+    empty (hi < lo), out of domain, or overhanging an edge."""
+    kind = rng.integers(4)
+    a, b = sorted(int(v) for v in rng.integers(lo, hi + 1, size=2))
+    if kind == 1:
+        return b + 1, a
+    if kind == 2:
+        side = rng.integers(2)
+        return (hi + 1, hi + 5) if side else (lo - 5, lo - 1)
+    if kind == 3:
+        return a - 3, hi + 3
+    return a, b
+
+
+@st.composite
+def scan_cases(draw):
+    """A table and a workload over it.
+
+    Tables run from 1 row to a few thousand, rarely a multiple of the
+    scan's block size, with domains that need not start at 0; a QI
+    column may be constant and the SA may take a single value.  Queries
+    mix unconstrained dimensions with in-domain, empty, out-of-domain
+    and overhanging QI ranges, and SA ranges of the same kinds.
+    """
+    d = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=2, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=3_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    lows = rng.integers(-20, 20, size=d)
+    sizes = rng.integers(1, 300, size=d)
+    attrs = [
+        Attribute.numerical(f"x{j}", int(lows[j]), int(lows[j] + sizes[j] - 1))
+        for j in range(d)
+    ]
+    schema = Schema(
+        attrs, SensitiveAttribute("s", tuple(f"v{i}" for i in range(m)))
+    )
+    qi = lows + rng.integers(0, sizes, size=(n, d))
+    if draw(st.booleans()):
+        j = int(rng.integers(d))
+        qi[:, j] = qi[0, j]
+    if draw(st.booleans()):
+        sa = np.full(n, rng.integers(m))
+    else:
+        sa = rng.integers(0, m, size=n)
+    table = Table(schema, qi, sa)
+    queries = []
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        ranges = tuple(
+            (j, _random_range(rng, attr.lo, attr.hi))
+            for j, attr in enumerate(attrs)
+            if rng.random() < 0.7
+        )
+        queries.append(CountQuery(ranges, _random_range(rng, 0, m - 1)))
+    return table, queries
+
+
 class TestPreciseBatch:
     def test_matches_scalar(self, census_small, workload):
         scalar = np.array([answer_precise(census_small, q) for q in workload])
@@ -87,6 +155,32 @@ class TestPreciseBatch:
             fallback.qi_mask_block(enc, 7, 40),
         )
 
+    @given(case=scan_cases())
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_scan_matches_index_on_generated_tables(self, case):
+        """The zone-mapped scan (forced with ``index_budget=0``) equals
+        the bitmap index and the scalar oracles on every entry point."""
+        table, queries = case
+        enc = EncodedWorkload.encode(table.schema, queries)
+        indexed = TableMaskEngine(table)
+        scanned = TableMaskEngine(table, index_budget=0)
+        assert indexed.index is not None and scanned.index is None
+        precise = scanned.precise(enc)
+        assert np.array_equal(precise, indexed.precise(enc))
+        assert precise.tolist() == [answer_precise(table, q) for q in queries]
+        n = enc.n_queries
+        masks = scanned.qi_mask_block(enc, 0, n)
+        assert np.array_equal(masks, indexed.qi_mask_block(enc, 0, n))
+        for mask, query in zip(masks, queries):
+            assert np.array_equal(mask, qi_mask(table, query))
+        counts = scanned.qi_counts(enc)
+        assert np.array_equal(counts, indexed.qi_counts(enc))
+        assert np.array_equal(counts, masks.sum(axis=1))
+
     def test_qi_masks_match_scalar(self, census_small, workload):
         enc = EncodedWorkload.encode(census_small.schema, workload)
         masks = mask_engine(census_small).qi_mask_block(enc, 0, 30)
@@ -106,6 +200,26 @@ class TestPreciseBatch:
         assert uncached is not answer_precise_batch(census_small, workload)
         assert np.array_equal(uncached, first)
 
+    def test_workload_hashed_once_per_evaluate(self, monkeypatch):
+        """The first evaluate of a workload, and each repeat with an
+        equal regenerated one, hash its queries at most once: the
+        encoding and the precise answers share one cached key."""
+        table = make_census(2_000, seed=3, qi_names=("Age", "Gender"))
+        run = Dataset(table).anonymize("burel", beta=3.0)
+        hashes = []
+        original = CountQuery.__hash__
+
+        def counting(query):
+            hashes.append(query)
+            return original(query)
+
+        monkeypatch.setattr(CountQuery, "__hash__", counting)
+        for _ in range(3):
+            queries = make_workload(table.schema, 200, 2, 0.1, rng=4)
+            hashes.clear()
+            run.evaluate(queries)
+            assert len(hashes) <= len(queries)
+
     def test_row_count_not_multiple_of_64(self):
         """Exercises the packed-row padding (77 rows → 3 pad bits + pad
         bytes) end to end."""
@@ -118,6 +232,56 @@ class TestPreciseBatch:
         query = CountQuery(qi_ranges=(), sa_range=(0, 49))
         batch = answer_precise_batch(census_small, [query])
         assert batch.tolist() == [census_small.n_rows]
+
+
+class TestZoneMapScan:
+    @pytest.fixture(scope="class")
+    def table(self):
+        return synthetic(
+            50_000, qi_dims=3, sa_cardinality=32, skew=0.8, seed=1,
+            qi_domain=512,
+        )
+
+    @pytest.fixture(scope="class")
+    def enc(self, table):
+        queries = make_workload(table.schema, 200, 3, 0.1, rng=13)
+        return EncodedWorkload.encode(table.schema, queries)
+
+    def test_small_passes_match_index(self, table, enc, monkeypatch):
+        """Query chunks of one zone classification and straddling
+        passes of one block give the same answers."""
+        expected = TableMaskEngine(table)
+        scanned = TableMaskEngine(table, index_budget=0)
+        monkeypatch.setattr("repro.query.evaluate._ZONE_CELLS", 1)
+        monkeypatch.setattr("repro.query.evaluate._SCAN_ROWS", 1)
+        part = enc.slice(0, 40)
+        assert np.array_equal(scanned.precise(part), expected.precise(part))
+        assert np.array_equal(
+            scanned.qi_counts(part), expected.qi_counts(part)
+        )
+        assert np.array_equal(
+            scanned.qi_mask_block(enc, 5, 9), expected.qi_mask_block(enc, 5, 9)
+        )
+
+    def test_precise_memory_below_32_bytes_per_row(self, table, enc):
+        """The scan's working set is a few blocks per pass: precise()
+        peaks below 32 B per row (a query × row broadcast block peaked
+        at 800)."""
+        engine = TableMaskEngine(table, index_budget=0)
+        tracemalloc.start()
+        try:
+            engine.precise(enc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * table.n_rows
+
+    def test_cache_charges_its_bytes(self, table):
+        engine = TableMaskEngine(table, index_budget=0)
+        cache = ArtifactCache()
+        cache.put(("mask_engine", "t"), engine)
+        assert cache.nbytes == engine.scan.nbytes
+        assert 0 < engine.scan.nbytes < 20 * table.n_rows
 
 
 class TestBatchAnswerers:

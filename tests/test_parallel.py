@@ -525,6 +525,42 @@ class TestProcessServing:
         assert stats["cube_fallbacks"] == 0
         assert set(stats["served_by_backend"]) == {"ec"}
 
+    @pytest.mark.parametrize("backend", ["auto", "cube", "bitmap"])
+    def test_process_mode_serves_like_thread_mode(self, backend, tmp_path):
+        """Workers get the count cube a store load attached and run under
+        the service's backend, so answers, backend labels and cube
+        fallbacks equal the thread path's."""
+        from repro.dataset.census import DEFAULT_QI
+
+        table = make_census(4_000, seed=3, qi_names=DEFAULT_QI)
+        ds = Dataset(table)
+        store = PublicationStore(tmp_path)
+        ids = [
+            ds.anonymize("perturb", rng=29, beta=4.0).publish(
+                store, requirement={"beta": 4.0}
+            ).pub_id,
+            ds.anonymize("anatomy", rng=1, l=4).publish(
+                store, requirement={"l": 4}
+            ).pub_id,
+        ]
+        queries = make_workload(table.schema, 24, 2, 0.1, rng=5)
+
+        def serve(executor):
+            with QueryService(
+                store, workers=2, executor=executor, backend=backend
+            ) as service:
+                answers = [service.answer(pub, queries) for pub in ids]
+                labels = [service.serving_backend(pub) for pub in ids]
+                fallbacks = service.stats_snapshot()["cube_fallbacks"]
+            return answers, labels, fallbacks
+
+        threaded, pooled = serve("thread"), serve("process")
+        for expected, actual in zip(threaded[0], pooled[0]):
+            np.testing.assert_array_equal(actual, expected)
+        assert pooled[1:] == threaded[1:]
+        expected_label = "bitmap" if backend == "bitmap" else "cube"
+        assert threaded[1:] == ([expected_label] * 2, 0)
+
     @pytest.mark.skipif(
         multiprocessing.get_context().get_start_method() != "fork",
         reason="only a fork-context pool forks its workers at first submit",
