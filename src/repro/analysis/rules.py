@@ -14,6 +14,7 @@ OBS001    direct Tracer()/MetricsRegistry() in library code
 CACHE001  ArtifactCache keys built from object identity (``id(...)``)
 CACHE002  identity-keyed memos (weak registries, ``__dict__`` writes)
 DET001    iteration over sets feeding ordered output
+RANGE001  raw ``.sa_range`` reads in the query layer outside its clipper
 SUP001    suppression comments without a reason (meta-rule)
 ========= ============================================================
 
@@ -662,6 +663,48 @@ class Det001(Rule):
                 if key not in seen:
                     seen.add(key)
                     yield f
+
+
+# ---------------------------------------------------------------------------
+# RANGE001
+# ---------------------------------------------------------------------------
+
+
+@register_rule
+class Range001(Rule):
+    """The query layer reads SA ranges only through ``sa_bounds``.
+
+    A raw ``CountQuery.sa_range`` may overhang the SA domain or be
+    inverted.  Estimators that indexed prefix sums or sliced with it
+    each did something else on such ranges: a negative index wrapped, a
+    slice came back empty, an index ran past the end.
+    ``repro.query.workload.sa_bounds`` clips every range by one rule,
+    and ``workload.py``, which owns it, is the only query module that
+    may read the raw attribute.
+    """
+
+    rule_id = "RANGE001"
+    title = "raw .sa_range read in the query layer"
+    scope = LIBRARY
+    exclude = ("repro/query/workload.py",)
+
+    def applies_to(self, module) -> bool:
+        return "repro/query/" in module.relpath and super().applies_to(module)
+
+    def check(self, module, project) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "sa_range"
+                and isinstance(node.ctx, ast.Load)
+            ):
+                yield self.finding(
+                    module,
+                    node,
+                    "raw SA range read in the query layer; clip it with "
+                    "repro.query.workload.sa_bounds so every estimator "
+                    "agrees on overhanging and empty ranges",
+                )
 
 
 # ---------------------------------------------------------------------------

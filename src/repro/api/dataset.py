@@ -329,8 +329,9 @@ class Dataset:
         carried over to the new content key where extension is exact —
         Hilbert keys concatenate (the curve depends only on the schema's
         QI domains), SA counts add — so the grown table never recomputes
-        them from scratch; the old content's mask engine and table cubes
-        are dropped.  If a sharded baseline is being tracked, the
+        them from scratch; every other entry keyed by the old content
+        (mask engine, table cubes, encoded workloads, precise answers)
+        is dropped.  If a sharded baseline is being tracked, the
         new rows are routed to shards by Hilbert-key interval
         (:meth:`~repro.parallel.ShardPlan.diff`) and exactly the touched
         shards' cached artifacts are evicted; :meth:`refresh` then
@@ -373,10 +374,10 @@ class Dataset:
             for i in diff.dirty:
                 self.cache.discard(state.shard_key(i))
             state.dirty |= set(diff.dirty)
-        # The superseded content's engines serve no query over the grown
-        # table; a holder still evaluating the old content rebuilds them.
-        for kind in ("mask_engine", "cube_table"):
-            self.cache.invalidate(kind, digest=old_key)
+        # The superseded content's artifacts serve no query over the
+        # grown table; a holder still evaluating the old content rebuilds
+        # them.
+        self.cache.invalidate(digest=old_key)
         self.table = new_table
         self._prepared = None
         self.close_parallel()

@@ -22,7 +22,10 @@ shards' artifacts, and seeds the concatenated table's Hilbert keys and
 SA distribution from the cached baseline arrays.  A refresh then
 re-runs the engine only on dirty shards and concatenates cached and
 recomputed pieces into the whole-table publication; its audit view is
-built from that publication like any other.
+built from that publication like any other.  The lineage keeps one
+version's artifacts: an append drops the entries keyed by the old table
+content, and a refresh drops those keyed by the superseded publication
+(its audit view, which would also pin the old table).
 
 **The pinned-``P`` invariant.**  Shard anonymization bucketizes against
 the overall SA distribution ``P`` (see
@@ -99,6 +102,9 @@ class VersionState:
         token: The :func:`lineage_token` keying the shard artifacts.
         version: How many refreshes have completed (0 = baseline).
         dirty: Shard indices whose artifacts are stale.
+        publication_key: Content digest of the current version's
+            publication; the next refresh drops the artifacts keyed by
+            it.
     """
 
     algorithm: str
@@ -109,6 +115,7 @@ class VersionState:
     token: str
     version: int = 0
     dirty: set = field(default_factory=set)
+    publication_key: "str | None" = None
 
     def shard_key(self, index: int) -> tuple:
         """The cache key of shard ``index``'s publication artifact."""
@@ -139,6 +146,7 @@ def snapshot_baseline(
             seed,
             session.plan.n_shards,
         ),
+        publication_key=dataset.cache.publication_key(run.published),
     )
     merged_rows = run.published.rows
     start = 0
@@ -236,6 +244,10 @@ def refresh_state(dataset, state: VersionState) -> RefreshRun:
         pieces.append(cache.get_or_build(state.shard_key(i), build))
     reused = tuple(i for i in range(plan.n_shards) if i not in recomputed)
     published = merge_pieces(table, pieces)
+    key = cache.publication_key(published)
+    if state.publication_key not in (None, key):
+        cache.invalidate(digest=state.publication_key)
+    state.publication_key = key
 
     state.dirty.clear()
     state.version += 1

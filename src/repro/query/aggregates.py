@@ -41,6 +41,7 @@ from .answer import AnatomyAnswerer, GeneralizedAnswerer, PerturbedAnswerer
 from .evaluate import (
     AGGREGATE_OPS,
     _as_answerer,
+    _check_measure_dim,
     _divide,
     _encoded,
     _measure_column,
@@ -50,7 +51,7 @@ from .evaluate import (
     check_aggregate_op,
     check_backend,
 )
-from .workload import CountQuery, EncodedWorkload, qi_mask
+from .workload import CountQuery, EncodedWorkload, qi_mask, sa_bounds
 
 # ----------------------------------------------------------------------
 # Precise aggregates over the source table
@@ -63,7 +64,7 @@ def answer_aggregate_precise(
     """Scalar reference: the exact SUM/AVG over one query's matches."""
     check_aggregate_op(op)
     measure = _measure_column(table, measure_dim)
-    lo, hi = query.sa_range
+    lo, hi = sa_bounds(query, table.sa_cardinality)
     mask = qi_mask(table, query)
     mask &= (table.sa >= lo) & (table.sa <= hi)
     total = float(measure[mask].sum())
@@ -85,12 +86,13 @@ def batch_aggregate_precise(
 
     Element-for-element equal to :func:`answer_aggregate_precise`.  The
     cube backend uses a measure-sum table cube (content-keyed as
-    ``("cube_table", table_digest, measure_dim)``); the bitmap path sums
-    the measure over each query's full-predicate mask.
+    ``("cube_table", table_digest, measure_dim)``); the bitmap path
+    takes per-SA-code measure sums over each query's QI box from the
+    engine's histogram pass and sums them over the SA range.
     """
     check_backend(backend)
     check_aggregate_op(op)
-    _measure_column(table, measure_dim)
+    _check_measure_dim(table, measure_dim)
     enc = _encoded(table, queries, artifacts)
     sums = _precise(table, enc, artifacts, backend, measure_dim)
     if op == "sum":
@@ -151,7 +153,7 @@ def answer_aggregate(
     source = answerer.published.source
     measure = _measure_column(source, measure_dim)
     enc = EncodedWorkload.encode(source.schema, (query,))
-    lo, hi = query.sa_range
+    lo, hi = sa_bounds(query, source.sa_cardinality)
     if isinstance(answerer, GeneralizedAnswerer):
         total = _generalized_sum(answerer, enc, measure_dim)
     else:
@@ -162,16 +164,14 @@ def answer_aggregate(
                 weights=measure[mask],
                 minlength=source.sa_cardinality,
             )
-            total = (answerer._weights(query.sa_range) * observed).sum()
+            total = (answerer._weights((lo, hi)) * observed).sum()
         elif isinstance(answerer, AnatomyAnswerer):
             group_sums = np.bincount(
                 answerer.group_of[mask],
                 weights=measure[mask],
                 minlength=answerer.published.n_groups,
             )
-            fractions = (
-                answerer.sa_prefix[:, hi + 1] - answerer.sa_prefix[:, lo]
-            )
+            fractions = answerer.sa_prefix[hi + 1] - answerer.sa_prefix[lo]
             total = (group_sums * fractions).sum()
         else:
             mass = (

@@ -24,7 +24,12 @@ from ..anonymity.anatomy import BaselinePublication
 from ..core.perturb import PerturbedTable
 from ..dataset.published import EquivalenceClass, GeneralizedTable
 from ..dataset.schema import Schema
-from .workload import CountQuery, EncodedWorkload, qi_mask
+from .workload import CountQuery, EncodedWorkload, qi_mask, sa_bounds
+
+
+#: Cells of one (queries × groups) block of :meth:`AnatomyAnswerer.batch`;
+#: bounds its temporaries when a cube answers thousands of queries at once.
+_FRACTION_CELLS = 2**21
 
 
 def _box_overlap_fraction(
@@ -50,7 +55,7 @@ def answer_generalized(
     published: GeneralizedTable, query: CountQuery
 ) -> float:
     """Estimate a COUNT query on a generalized publication."""
-    lo, hi = query.sa_range
+    lo, hi = sa_bounds(query, published.sa_counts.shape[1])
     estimate = 0.0
     for ec in published:
         sa_matches = int(ec.sa_counts[lo : hi + 1].sum())
@@ -75,7 +80,7 @@ def answer_perturbed(published: PerturbedTable, query: CountQuery) -> float:
         minlength=published.source.sa_cardinality,
     )
     reconstructed = published.scheme.reconstruct(observed)
-    lo, hi = query.sa_range
+    lo, hi = sa_bounds(query, published.source.sa_cardinality)
     return float(reconstructed[lo : hi + 1].sum())
 
 
@@ -83,7 +88,7 @@ def answer_baseline(published: BaselinePublication, query: CountQuery) -> float:
     """Estimate a COUNT query on the §6.3 Baseline publication."""
     mask = qi_mask(published.source, query)
     probs = published.global_distribution()
-    lo, hi = query.sa_range
+    lo, hi = sa_bounds(query, probs.shape[0])
     return float(mask.sum() * probs[lo : hi + 1].sum())
 
 
@@ -127,7 +132,7 @@ class GeneralizedAnswerer:
         self._width = self._hi - self._lo + 1
 
     def __call__(self, query: CountQuery) -> float:
-        lo, hi = query.sa_range
+        lo, hi = sa_bounds(query, self.sa_prefix_t.shape[0] - 1)
         sa_matches = (
             self.sa_prefix_t[hi + 1] - self.sa_prefix_t[lo]
         ).astype(float)
@@ -234,28 +239,32 @@ class PerturbedAnswerer:
     ``est = (w · E')`` with ``w = (PM^-T · indicator(R_SA))``.  The
     estimate is computed in exactly that histogram form — an order-free
     function of integer per-value counts — so any histogram source
-    (per-query masks, or a precomputed
-    :class:`~repro.query.cube.PrefixSumCube` value cube) yields
+    (a :class:`~repro.query.cube.PrefixSumCube` value cube, or the
+    bitmap engine's pass over the rows in each QI box) yields
     bit-identical results.
     """
 
     def __init__(self, published: PerturbedTable):
         self.published = published
+        #: Histogram kind: each row's perturbed SA value, over the
+        #: ``width`` SA codes.
+        self.row_codes = published.sa_perturbed
+        self.width = published.source.sa_cardinality
         self._weights_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def _weights(self, sa_range: tuple[int, int]) -> np.ndarray:
+        """Weights of clipped SA bounds (see :func:`sa_bounds`)."""
         if sa_range not in self._weights_cache:
             scheme = self.published.scheme
-            m_full = self.published.source.sa_cardinality
             lo, hi = sa_range
-            indicator = np.zeros(m_full)
+            indicator = np.zeros(self.width)
             indicator[lo : hi + 1] = 1.0
             ind_present = indicator[scheme.domain]
             if scheme.m == 1:
                 w_present = ind_present
             else:
                 w_present = np.linalg.solve(scheme.matrix.T, ind_present)
-            weights = np.zeros(m_full)
+            weights = np.zeros(self.width)
             weights[scheme.domain] = w_present
             self._weights_cache[sa_range] = weights
         return self._weights_cache[sa_range]
@@ -263,68 +272,39 @@ class PerturbedAnswerer:
     def __call__(self, query: CountQuery) -> float:
         mask = qi_mask(self.published.source, query)
         observed = np.bincount(
-            self.published.sa_perturbed[mask],
-            minlength=self.published.source.sa_cardinality,
+            self.row_codes[mask], minlength=self.width
         )
-        weights = self._weights(query.sa_range)
+        weights = self._weights(sa_bounds(query, self.width))
         return float((weights * observed).sum())
 
     def weight_rows(self, queries) -> np.ndarray:
         """``(Q, m)`` per-query weight vectors (cached per SA range)."""
-        if isinstance(queries, EncodedWorkload):
-            queries = queries.queries
-        m = self.published.source.sa_cardinality
-        out = np.empty((len(queries), m))
-        for i, query in enumerate(queries):
-            out[i] = self._weights(query.sa_range)
+        enc = EncodedWorkload.encode(self.published.source.schema, queries)
+        out = np.zeros((enc.n_queries, self.width))
+        for i, bounds in enumerate(zip(enc.sa_lo.tolist(), enc.sa_hi.tolist())):
+            out[i] = self._weights(bounds)
         return out
 
-    def batch(
-        self,
-        queries,
-        masks: np.ndarray | None = None,
-        histograms: np.ndarray | None = None,
-        measure: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Answer a workload from precomputed histograms or QI masks.
+    def batch(self, queries, histograms: np.ndarray) -> np.ndarray:
+        """Answer a workload from its observed perturbed-SA histograms.
 
         Args:
             queries: Sequence of :class:`CountQuery` or an
                 :class:`~repro.query.workload.EncodedWorkload`.
-            masks: Optional ``(Q, n_rows)`` boolean QI-mask matrix shared
-                across estimators (see
-                :func:`~repro.query.evaluate.batch_estimates`); without
-                it each query recomputes its own mask.
-            histograms: Optional ``(Q, m)`` observed perturbed-SA
-                histograms, e.g. one gather from a
-                :class:`~repro.query.cube.PrefixSumCube` value cube;
-                takes precedence over ``masks``.
-            measure: Optional ``(n_rows,)`` measure column: each masked
-                row then weighs its measure value instead of 1, giving
-                SUM instead of COUNT estimates.
+            histograms: ``(Q, m)`` per-query histograms of the perturbed
+                SA values of the rows in each QI box — counts, or
+                measure sums for SUM estimates — from a
+                :class:`~repro.query.cube.PrefixSumCube` value cube or
+                the bitmap engine's pass
+                (:func:`repro.query.evaluate.answer_batch`).
 
         Returns:
             ``(Q,)`` float64 estimates, bit-identical to ``__call__``:
-            every path reduces the same (weights × exact-integer
+            every source reduces the same (weights × exact-integer
             histogram) products, so only where the histogram comes from
             differs.
         """
-        if histograms is not None:
-            return (self.weight_rows(queries) * histograms).sum(axis=1)
-        if isinstance(queries, EncodedWorkload):
-            queries = queries.queries
-        source = self.published.source
-        sa_perturbed = self.published.sa_perturbed
-        m = source.sa_cardinality
-        out = np.empty(len(queries))
-        for i, query in enumerate(queries):
-            mask = masks[i] if masks is not None else qi_mask(source, query)
-            weights = None if measure is None else measure[mask]
-            observed = np.bincount(
-                sa_perturbed[mask], weights=weights, minlength=m
-            )
-            out[i] = (self._weights(query.sa_range) * observed).sum()
-        return out
+        return (self.weight_rows(queries) * histograms).sum(axis=1)
 
 
 class AnatomyAnswerer:
@@ -341,61 +321,45 @@ class AnatomyAnswerer:
         # The publication validated its partition at construction, so
         # every row carries a real group id.
         self.group_of = published.class_of
+        #: Histogram kind: each row's group id, over the ``width`` groups.
+        self.row_codes = self.group_of
+        self.width = published.n_groups
         distributions = published.sa_counts / published.sizes[:, None]
-        self.sa_prefix = np.zeros(  # (G, m + 1)
-            (published.n_groups, distributions.shape[1] + 1)
+        #: (m + 1, G) SA prefix sums, SA-major: a query's per-group SA
+        #: mass is the difference of two contiguous rows.
+        self.sa_prefix = np.zeros(
+            (distributions.shape[1] + 1, published.n_groups)
         )
-        np.cumsum(distributions, axis=1, out=self.sa_prefix[:, 1:])
+        np.cumsum(distributions.T, axis=0, out=self.sa_prefix[1:])
 
     def __call__(self, query: CountQuery) -> float:
         mask = qi_mask(self.published.source, query)
-        lo, hi = query.sa_range
-        counts = np.bincount(
-            self.group_of[mask], minlength=self.published.n_groups
-        )
-        fractions = self.sa_prefix[:, hi + 1] - self.sa_prefix[:, lo]
+        lo, hi = sa_bounds(query, self.sa_prefix.shape[0] - 1)
+        counts = np.bincount(self.group_of[mask], minlength=self.width)
+        fractions = self.sa_prefix[hi + 1] - self.sa_prefix[lo]
         return float((counts * fractions).sum())
 
     def fraction_rows(self, queries) -> np.ndarray:
         """``(Q, G)`` per-query group SA-range mass fractions."""
-        if isinstance(queries, EncodedWorkload):
-            queries = queries.queries
-        out = np.empty((len(queries), self.sa_prefix.shape[0]))
-        for i, query in enumerate(queries):
-            lo, hi = query.sa_range
-            out[i] = self.sa_prefix[:, hi + 1] - self.sa_prefix[:, lo]
-        return out
+        enc = EncodedWorkload.encode(self.published.source.schema, queries)
+        return self.sa_prefix[enc.sa_hi + 1] - self.sa_prefix[enc.sa_lo]
 
-    def batch(
-        self,
-        queries,
-        masks: np.ndarray | None = None,
-        histograms: np.ndarray | None = None,
-        measure: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Answer a workload from precomputed histograms or QI masks.
+    def batch(self, queries, histograms: np.ndarray) -> np.ndarray:
+        """Answer a workload from its per-group histograms.
 
         Same contract as :meth:`PerturbedAnswerer.batch`, with
         ``histograms`` the ``(Q, G)`` per-group membership counts (or
         measure sums) inside each query's QI box, e.g. one gather from a
         :class:`~repro.query.cube.PrefixSumCube` group cube.
         """
-        if histograms is not None:
-            return (histograms * self.fraction_rows(queries)).sum(axis=1)
-        if isinstance(queries, EncodedWorkload):
-            queries = queries.queries
-        source = self.published.source
-        n_groups = self.published.n_groups
-        out = np.empty(len(queries))
-        for i, query in enumerate(queries):
-            mask = masks[i] if masks is not None else qi_mask(source, query)
-            lo, hi = query.sa_range
-            weights = None if measure is None else measure[mask]
-            counts = np.bincount(
-                self.group_of[mask], weights=weights, minlength=n_groups
-            )
-            fractions = self.sa_prefix[:, hi + 1] - self.sa_prefix[:, lo]
-            out[i] = (counts * fractions).sum()
+        enc = EncodedWorkload.encode(self.published.source.schema, queries)
+        out = np.zeros(enc.n_queries)
+        step = max(1, _FRACTION_CELLS // self.width)
+        for start in range(0, enc.n_queries, step):
+            stop = start + step
+            products = self.fraction_rows(enc.slice(start, stop))
+            products *= histograms[start:stop]
+            out[start:stop] = products.sum(axis=1)
         return out
 
 
@@ -404,43 +368,29 @@ class BaselineAnswerer:
 
     def __init__(self, published: BaselinePublication):
         self.published = published
+        #: Histogram kind: no row codes, so each query's histogram is
+        #: the one-bin size (or measure sum) of its QI match.
+        self.row_codes = None
+        self.width = 1
         probs = published.global_distribution()
         self.sa_prefix = np.concatenate([[0.0], np.cumsum(probs)])
 
     def __call__(self, query: CountQuery) -> float:
         mask = qi_mask(self.published.source, query)
-        lo, hi = query.sa_range
+        lo, hi = sa_bounds(query, self.sa_prefix.shape[0] - 1)
         return float(mask.sum() * (self.sa_prefix[hi + 1] - self.sa_prefix[lo]))
 
-    def batch(
-        self,
-        queries,
-        masks: np.ndarray | None = None,
-        histograms: np.ndarray | None = None,
-        measure: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Answer a workload in one vectorized pass.
+    def batch(self, queries, histograms: np.ndarray) -> np.ndarray:
+        """Answer a workload from its ``(Q, 1)`` QI-match histograms.
 
         The Baseline's histogram is one number per query: the size of
-        its QI match, or with ``measure`` the match's measure sum.
-        ``histograms`` (``(Q,)``, e.g. popcounts from the shared bitmap
-        index or table-cube lookups) is the cheapest input; ``masks`` or
-        per-query recomputation are the fallbacks.  Integer sums are
-        order-free and the per-query product is the same two-operand
-        float multiply as ``__call__``, so estimates are bit-identical.
+        its QI match, or with a measure the match's measure sum — from
+        the bitmap index's popcounts, the bitmap engine's pass or
+        table-cube lookups.  Integer sums are order-free and the
+        per-query product is the same two-operand float multiply as
+        ``__call__``, so estimates are bit-identical.
         """
         enc = EncodedWorkload.encode(self.published.source.schema, queries)
-        if histograms is None:
-            source = self.published.source
-            if masks is None:
-                masks = [qi_mask(source, query) for query in enc.queries]
-            histograms = np.array(
-                [
-                    mask.sum() if measure is None else measure[mask].sum()
-                    for mask in masks
-                ],
-                dtype=np.int64,
-            )
-        return histograms * (
+        return histograms[:, 0] * (
             self.sa_prefix[enc.sa_hi + 1] - self.sa_prefix[enc.sa_lo]
         )

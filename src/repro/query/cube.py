@@ -393,11 +393,12 @@ class CountCube:
     def histograms(self, enc: EncodedWorkload) -> np.ndarray | None:
         """The per-query histograms this kind's estimator consumes.
 
-        A Baseline reads its QI-match sizes, ``(Q,)``, from full-SA-range
-        table-cube lookups; perturbed and Anatomy publications read
-        ``(Q, card)`` payload histograms inside each QI box.  ``None``
-        when the sub-cube the kind needs was not built (over budget, or
-        a generalized publication, whose EC kernel reads no histogram).
+        A Baseline reads its QI-match sizes, ``(Q, 1)``, from
+        full-SA-range table-cube lookups; perturbed and Anatomy
+        publications read ``(Q, card)`` payload histograms inside each
+        QI box.  ``None`` when the sub-cube the kind needs was not built
+        (over budget, or a generalized publication, whose EC kernel
+        reads no histogram).
         """
         if self.kind == "baseline":
             if self.table is None:
@@ -408,7 +409,7 @@ class CountCube:
             sa_hi = np.full((n, 1), m - 1, dtype=np.int64)
             lo = np.concatenate([enc.qi_lo, sa_lo], axis=1)
             hi = np.concatenate([enc.qi_hi, sa_hi], axis=1)
-            return self.table.range_sums(lo, hi)
+            return self.table.range_sums(lo, hi)[:, None]
         if self.payload is None:
             return None
         return self.payload.range_sums(enc.qi_lo, enc.qi_hi)

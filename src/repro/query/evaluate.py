@@ -21,7 +21,10 @@ whole workload as array operations:
   skips the disjoint ones and compares rows only where its box
   boundary cuts a block;
 * every estimator answering the same workload shares that one QI-mask
-  source instead of recomputing masks per query;
+  source, and the bitmap regime turns a whole block of queries' masks
+  into every estimator's histograms in one pass
+  (:meth:`TableMaskEngine.histograms`) instead of reducing each query's
+  mask on its own;
 * given a session's :class:`~repro.api.ArtifactCache` (``artifacts=``),
   the encoded workload, the mask engine and the precise answers are
   content-keyed there, so sweep points that reuse a workload (Fig. 8(b)'s
@@ -37,9 +40,15 @@ one functional of a per-query histogram — perturbed: weight rows ×
 perturbed-SA histogram; Anatomy: fraction rows × group histogram;
 Baseline: SA mass × QI-match size — while generalized publications go
 to their EC kernel (:meth:`~repro.query.answer.GeneralizedAnswerer.batch`).
-The histogram comes from a cube or from the shared bitmap masks,
-counted or measure-weighted.  Precise answers take the same route
-(:func:`answer_precise_batch`), with the popcount kernel for COUNT.
+Each kind names its histogram's row codes (perturbed SA values, group
+ids, none for the Baseline) and width, and the histogram comes from a
+cube or from the bitmap engine's one pass: a ``flatnonzero`` over a
+query block's QI masks gives its (query, row) pairs, and one
+``bincount`` over ``query × width + code`` per kind, counted or
+measure-weighted, gives the block's ``(Q, width)`` histograms.  Precise
+answers take the same route (:func:`answer_precise_batch`): SUM through
+the pass over the SA codes, COUNT — like a Baseline COUNT's QI-match
+sizes — through the popcount kernel.
 
 All batch estimates are **bit-identical** to the scalar per-query
 answerers — the batch kernels perform the same numpy operation
@@ -84,9 +93,14 @@ from .workload import CountQuery, EncodedWorkload, QueryTuple
 #: (same results, a few bytes per row).
 DEFAULT_INDEX_BUDGET = 128 * 2**20
 
-#: Boolean-cell budget for one materialized QI-mask block; bounds peak
-#: memory when mask-consuming estimators stream over a big workload.
-_MASK_BLOCK_CELLS = 32 * 2**20
+#: Cells (queries × rows, or × histogram width where wider) of one
+#: materialized QI-mask block in the histogram pass.
+_PASS_CELLS = 2**21
+
+#: (query, row) pairs one histogram pass gathers at once (≈32 bytes
+#: each at peak), or one query's pairs where that is more; with
+#: :data:`_PASS_CELLS` it bounds the pass's working set.
+_PASS_PAIRS = 2**18
 
 #: Queries per packed-bitmap chunk; small chunks keep the AND/popcount
 #: working set inside the CPU cache.
@@ -390,8 +404,7 @@ class ZoneMapScan:
             lo, hi, dims, inside, straddle = self._zones(enc, start, stop)
             if sa:
                 sa_lo = enc.sa_lo[start:stop]
-                # An empty range (lo > hi) counts nothing in any block.
-                sa_hi = np.maximum(enc.sa_hi[start:stop], sa_lo - 1)
+                sa_hi = enc.sa_hi[start:stop]
                 in_range = self.sa_cum[sa_hi + 1] - self.sa_cum[sa_lo]
                 straddle &= in_range > 0
             else:
@@ -472,10 +485,61 @@ class TableMaskEngine:
             return self.scan.qi_masks(enc, start, stop)
         return self.index.unpack(self.index.qi_bits(enc, start, stop))
 
-    def _blocks(self, n_queries: int):
-        block = max(1, _MASK_BLOCK_CELLS // max(1, self.table.n_rows))
-        for start in range(0, n_queries, block):
-            yield start, min(start + block, n_queries)
+    def histograms(
+        self, enc: EncodedWorkload, kinds, measure: np.ndarray | None = None
+    ):
+        """Histograms of row codes over the rows in each query's QI box.
+
+        ``kinds`` is a sequence of ``(row_codes, width)``; a kind's
+        histogram of a query counts its box's rows per code in
+        ``[0, width)`` (``row_codes`` ``None`` and ``width`` 1: all rows
+        in one bin), each row weighing its ``measure`` value when one is
+        given.  Yields ``(start, stop, histograms)``, one
+        ``(stop - start, width)`` array per kind, over query blocks in
+        order.
+
+        One pass serves every kind: a ``flatnonzero`` over the block's
+        masks gives its (query, row) pairs, one gather takes their
+        measure, and per kind one gather of the codes and one
+        ``bincount`` over ``query × width + code`` give the histograms.
+        Counts and integer measure sums are exact, so the order of the
+        pairs cannot change them.  A pass holds at most
+        :data:`_PASS_CELLS` mask cells and :data:`_PASS_PAIRS` pairs
+        (or one query's).
+        """
+        n = self.table.n_rows
+        widest = max([n, *(width for _, width in kinds)])
+        step = max(1, _PASS_CELLS // max(1, widest))
+        for first in range(0, enc.n_queries, step):
+            last = min(first + step, enc.n_queries)
+            if self.index is None:
+                masks = self.scan.qi_masks(enc, first, last)
+                sizes = np.count_nonzero(masks, axis=1)
+            else:
+                packed = self.index.qi_bits(enc, first, last)
+                sizes = _popcount_rows(packed)
+                masks = self.index.unpack(packed)
+            ends = np.cumsum(sizes)
+            lo = 0
+            while lo < last - first:
+                budget = _PASS_PAIRS + (ends[lo - 1] if lo else 0)
+                hi = max(lo + 1, int(np.searchsorted(ends, budget, "right")))
+                counts = sizes[lo:hi]
+                rows = np.flatnonzero(masks[lo:hi])
+                rows -= np.repeat(np.arange(hi - lo) * n, counts)
+                weights = None if measure is None else measure[rows]
+                out = []
+                for codes, width in kinds:
+                    # A pair's bin: its query's offset plus its row's code.
+                    key = np.repeat(np.arange(hi - lo) * width, counts)
+                    if codes is not None:
+                        key += codes[rows]
+                    out.append(
+                        np.bincount(key, weights, minlength=(hi - lo) * width)
+                        .reshape(hi - lo, width)
+                    )
+                yield first + lo, first + hi, out
+                lo = hi
 
 
 # ----------------------------------------------------------------------
@@ -559,13 +623,23 @@ def check_aggregate_op(op: str) -> str:
     return op
 
 
-def _measure_column(table: Table, measure_dim: int) -> np.ndarray:
+def _check_measure_dim(table: Table, measure_dim: int) -> None:
     if not 0 <= measure_dim < table.schema.n_qi:
         raise ValueError(
             f"measure_dim {measure_dim} out of range for a "
             f"{table.schema.n_qi}-attribute QI"
         )
-    return table.qi[:, measure_dim]
+
+
+def _measure_column(table: Table, measure_dim: int) -> np.ndarray:
+    """The measure column as a contiguous float64 array.
+
+    ``table.qi[:, d]`` is a strided view, and every gather from it
+    copies the whole column first; its integer values are exact in
+    float64, so sums over either are equal.
+    """
+    _check_measure_dim(table, measure_dim)
+    return np.ascontiguousarray(table.qi[:, measure_dim], dtype=np.float64)
 
 
 def _divide(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -626,19 +700,60 @@ def _precise(
         lo = np.concatenate([enc.qi_lo, enc.sa_lo[:, None]], axis=1)
         hi = np.concatenate([enc.qi_hi, enc.sa_hi[:, None]], axis=1)
         return cube.range_sums(lo, hi)
-    engine = mask_engine(table, artifacts)
     if measure_dim is None:
-        return engine.precise(enc)
-    measure = _measure_column(table, measure_dim)
-    sums = np.empty(enc.n_queries)
-    sa = table.sa
-    for start, stop in engine._blocks(enc.n_queries):
-        masks = engine.qi_mask_block(enc, start, stop)
-        masks &= sa[None, :] >= enc.sa_lo[start:stop, None]
-        masks &= sa[None, :] <= enc.sa_hi[start:stop, None]
-        for i in range(stop - start):
-            sums[start + i] = measure[masks[i]].sum()
-    return sums
+        return mask_engine(table, artifacts).precise(enc)
+    users = {"precise": _SaRangeSums(table)}
+    return _bitmap_answers(table, users, enc, artifacts, measure_dim)["precise"]
+
+
+class _SaRangeSums:
+    """Precise SUM as a histogram functional: each query's measure sums
+    per SA code over its QI box, summed over its SA range.  The sums
+    are exact integers in float64, so they equal the masked sums."""
+
+    def __init__(self, table: Table):
+        self.row_codes = table.sa
+        self.width = table.sa_cardinality
+
+    def batch(self, enc: EncodedWorkload, histograms: np.ndarray):
+        codes = np.arange(self.width)
+        in_range = codes >= enc.sa_lo[:, None]
+        in_range &= codes <= enc.sa_hi[:, None]
+        return (histograms * in_range).sum(axis=1)
+
+
+def _bitmap_answers(
+    table: Table,
+    users: dict,
+    enc: EncodedWorkload,
+    artifacts,
+    measure_dim: int | None,
+) -> "dict[str, np.ndarray]":
+    """Each histogram user's answers from the bitmap engine, counted or
+    weighted by the ``measure_dim`` column.
+
+    Every user names its ``row_codes`` and ``width`` and answers from
+    ``batch(enc, histograms)``; all of them share one histogram pass
+    (:meth:`TableMaskEngine.histograms`).  When none needs row codes or
+    a measure — a Baseline COUNT — the histograms are the QI-match
+    sizes, which the popcount kernel gives without unpacking masks.
+    """
+    engine = mask_engine(table, artifacts)
+    if measure_dim is None and all(
+        user.row_codes is None for user in users.values()
+    ):
+        sizes = engine.qi_counts(enc)[:, None]
+        return {name: user.batch(enc, sizes) for name, user in users.items()}
+    measure = None
+    if measure_dim is not None:
+        measure = _measure_column(table, measure_dim)
+    out = {name: np.zeros(enc.n_queries) for name in users}
+    kinds = [(user.row_codes, user.width) for user in users.values()]
+    for start, stop, histograms in engine.histograms(enc, kinds, measure):
+        block = enc.slice(start, stop)
+        for (name, user), hist in zip(users.items(), histograms):
+            out[name][start:stop] = user.batch(block, hist)
+    return out
 
 
 def answer_precise_batch(
@@ -741,12 +856,11 @@ def _estimate(
 
     Generalized publications go to their EC kernel.  Every other kind's
     estimate is one functional of a per-query histogram, read from the
-    kind's cube when one resolves, else reduced per query from the
-    shared bitmap QI masks (a Baseline COUNT, which needs only QI-match
-    sizes, takes the popcount kernel instead).
+    kind's cube when one resolves, else from the bitmap engine's
+    histogram pass, which all those kinds share (:func:`_bitmap_answers`).
     """
     out: dict[str, np.ndarray] = {}
-    mask_users: dict[str, object] = {}
+    users: dict[str, object] = {}
     for name, answerer in answerers.items():
         if isinstance(answerer, GeneralizedAnswerer):
             out[name] = answerer.batch(enc, measure_dim=measure_dim)
@@ -755,31 +869,13 @@ def _estimate(
         cube = resolve_cube(answerer.published, artifacts, backend, measure_dim)
         histograms = None if cube is None else cube.histograms(enc)
         if histograms is not None:
-            out[name] = answerer.batch(enc, histograms=histograms)
+            out[name] = answerer.batch(enc, histograms)
             served[name] = "cube"
         else:
-            mask_users[name] = answerer
+            users[name] = answerer
             served[name] = "bitmap"
-    if not mask_users:
-        return out
-    engine = mask_engine(table, artifacts)
-    measure = None
-    if measure_dim is not None:
-        measure = _measure_column(table, measure_dim)
-    for name, answerer in list(mask_users.items()):
-        if measure is None and isinstance(answerer, BaselineAnswerer):
-            del mask_users[name]
-            out[name] = answerer.batch(enc, histograms=engine.qi_counts(enc))
-    for name in mask_users:
-        out[name] = np.empty(enc.n_queries)
-    blocks = engine._blocks(enc.n_queries) if mask_users else ()
-    for start, stop in blocks:
-        masks = engine.qi_mask_block(enc, start, stop)
-        chunk = enc.slice(start, stop)
-        for name, answerer in mask_users.items():
-            out[name][start:stop] = answerer.batch(
-                chunk, masks=masks, measure=measure
-            )
+    if users:
+        out.update(_bitmap_answers(table, users, enc, artifacts, measure_dim))
     return out
 
 
@@ -808,7 +904,7 @@ def answer_batch(
     if aggregate is not None:
         measure_dim, op = aggregate
         check_aggregate_op(op)
-        _measure_column(table, measure_dim)
+        _check_measure_dim(table, measure_dim)
     enc = _encoded(table, queries, artifacts)
     answerers = _answerers(table, publications)
     if served is None:

@@ -42,6 +42,20 @@ class CountQuery:
         return len(self.qi_ranges)
 
 
+def sa_bounds(query: CountQuery, m: int) -> tuple[int, int]:
+    """The query's SA range as inclusive code bounds inside ``[0, m - 1]``.
+
+    The one reader of the raw :attr:`CountQuery.sa_range`, so every
+    estimator agrees on ranges that overhang or miss the domain: the
+    range is clipped to it, and an empty result (out of domain, or
+    inverted) comes back as ``hi = lo - 1``, whose prefix-sum mass and
+    slices are zero.  In-domain ranges pass through unchanged.
+    """
+    lo, hi = query.sa_range
+    lo = min(max(lo, 0), m)
+    return lo, max(min(hi, m - 1), lo - 1)
+
+
 def _random_interval(
     lo: int, hi: int, fraction: float, rng: np.random.Generator
 ) -> tuple[int, int]:
@@ -148,16 +162,17 @@ class EncodedWorkload:
     row/box comparison against them is vacuously true), and
     ``constrained`` records which entries are real predicates so batch
     kernels can skip the vacuous ones.  Bounds of real predicates are
-    clipped to the domain (±1 for empty ranges), which leaves in-domain
-    workloads — everything :func:`make_query` generates — bit-for-bit
-    unchanged.
+    clipped to the domain (±1 for empty ranges), and SA bounds come from
+    :func:`sa_bounds`, which leaves in-domain workloads — everything
+    :func:`make_query` generates — bit-for-bit unchanged.
 
     Attributes:
         queries: The original :class:`CountQuery` objects, in order, as
             a :class:`QueryTuple` (the workload's cache key).
         qi_lo / qi_hi: ``(Q, d)`` inclusive QI bounds.
         constrained: ``(Q, d)`` bool; True where the query has a predicate.
-        sa_lo / sa_hi: ``(Q,)`` inclusive SA bounds.
+        sa_lo / sa_hi: ``(Q,)`` inclusive SA bounds from
+            :func:`sa_bounds` (``sa_hi = sa_lo - 1`` when empty).
     """
 
     queries: tuple[CountQuery, ...]
@@ -228,9 +243,7 @@ class EncodedWorkload:
                 qi_lo[i, dim] = min(max(lo, attr.lo), attr.hi + 1)
                 qi_hi[i, dim] = max(min(hi, attr.hi), attr.lo - 1)
                 constrained[i, dim] = True
-            lo, hi = query.sa_range
-            sa_lo[i] = min(max(lo, 0), m)
-            sa_hi[i] = max(min(hi, m - 1), -1)
+            sa_lo[i], sa_hi[i] = sa_bounds(query, m)
         return cls(
             queries=queries,
             qi_lo=qi_lo,

@@ -345,6 +345,54 @@ class TestCache001:
 
 
 # ---------------------------------------------------------------------------
+# RANGE001: raw SA-range reads in the query layer
+# ---------------------------------------------------------------------------
+
+
+class TestRange001:
+    READ = (
+        "def answer(prefix, query):\n"
+        "    lo, hi = query.sa_range\n"
+        "    return prefix[hi + 1] - prefix[lo]\n"
+    )
+
+    def test_raw_read_in_query_layer(self, tmp_path):
+        result = lint_snippet(tmp_path, self.READ, name="repro/query/answer.py")
+        assert rules_hit(result) == ["RANGE001"]
+        assert result.findings[0].line == 2
+
+    def test_clipped_read_is_clean(self, tmp_path):
+        result = lint_snippet(
+            tmp_path,
+            "from .workload import sa_bounds\n"
+            "def answer(prefix, query):\n"
+            "    lo, hi = sa_bounds(query, prefix.shape[0] - 1)\n"
+            "    return prefix[hi + 1] - prefix[lo]\n",
+            name="repro/query/answer.py",
+        )
+        assert result.findings == []
+
+    def test_workload_module_owns_the_raw_range(self, tmp_path):
+        result = lint_snippet(
+            tmp_path, self.READ, name="repro/query/workload.py"
+        )
+        assert result.findings == []
+
+    def test_other_layers_are_clean(self, tmp_path):
+        result = lint_snippet(tmp_path, self.READ, name="repro/cli.py")
+        assert result.findings == []
+
+    def test_keyword_and_parameter_names_are_clean(self, tmp_path):
+        result = lint_snippet(
+            tmp_path,
+            "def weights(scheme, sa_range):\n"
+            "    return make(sa_range=sa_range)\n",
+            name="repro/query/variance.py",
+        )
+        assert result.findings == []
+
+
+# ---------------------------------------------------------------------------
 # CACHE002: identity-keyed memos
 # ---------------------------------------------------------------------------
 
@@ -679,6 +727,7 @@ class TestReporting:
             "CACHE001",
             "CACHE002",
             "DET001",
+            "RANGE001",
             "SUP001",
         ):
             assert rule_id in listing

@@ -492,6 +492,43 @@ class TestVersionedDataset:
             vds.precise(queries), Dataset(vds.table).precise(queries)
         )
 
+    def test_rounds_keep_one_version_of_artifacts(self, vds, tmp_path):
+        """Append/refresh/publish/evaluate rounds keep one version's
+        artifacts: an append drops what the old content keyed, a refresh
+        drops the superseded publication's view.  The refreshed
+        publications and estimates are those of a cold run."""
+        from collections import Counter
+
+        from repro.parallel import ShardedSession
+
+        state = vds.version_state()
+        pinned = state.sa_distribution.copy()
+        store = PublicationStore(tmp_path / "store", cache=vds.cache)
+        queries = make_workload(vds.schema, 40, 2, 0.2, rng=4)
+        for rnd in range(4):
+            delta = _clustered_delta(
+                vds.table, state.plan, (1 + 2 * rnd) % self.SHARDS, 50,
+                seed=30 + rnd,
+            )
+            vds.append(delta)
+            run = vds.refresh()
+            run.publish(store, requirement={"beta": 3.0})
+            profile = run.evaluate(queries)
+            assert profile == evaluate_workload(
+                vds.table, {"run": run.published}, queries
+            )["run"]
+        kinds = Counter(key[0] for key in vds.cache.keys())
+        for kind in ("hilbert_keys", "sa_distribution", "encoded",
+                     "precise", "view"):
+            assert kinds[kind] == 1, (kind, kinds)
+        assert ("view", publication_digest(run.published)) in vds.cache
+        cold = ShardedSession(
+            vds.table, workers=1, plan=state.plan, sa_distribution=pinned
+        ).anonymize("burel", beta=2.0, seed=17)
+        assert publication_digest(run.published) == publication_digest(
+            cold.published
+        )
+
     def test_refresh_hits_clean_entries(self, vds):
         state = vds.version_state()
         delta = _clustered_delta(vds.table, state.plan, 4, 120, seed=7)

@@ -18,6 +18,7 @@ from repro.audit import privacy_profile, publication_view
 from repro.audit.evaluate import audit_publications
 from repro.core import burel, perturb_table
 from repro.dataset import (
+    DEFAULT_QI,
     Attribute,
     Schema,
     SensitiveAttribute,
@@ -42,8 +43,19 @@ from repro.query import (
     median_relative_error,
     qi_mask,
 )
-from repro.query.aggregates import batch_aggregate_estimates
-from repro.query.evaluate import TableMaskEngine, mask_engine
+from repro.query.aggregates import (
+    answer_aggregate,
+    answer_aggregate_precise,
+    batch_aggregate_estimates,
+    batch_aggregate_precise,
+)
+from repro.query.cube import build_count_cube
+from repro.query.evaluate import (
+    DEFAULT_INDEX_BUDGET,
+    TableMaskEngine,
+    answer_batch,
+    mask_engine,
+)
 from repro.service import PublicationStore
 
 
@@ -299,24 +311,37 @@ class TestBatchAnswerers:
         query = CountQuery(qi_ranges=(), sa_range=(5, 20))
         assert answerer.batch([query])[0] == answerer(query)
 
+    @staticmethod
+    def _seam(table, answerer, workload):
+        """The answerer's estimates through the seam's bitmap pass."""
+        return answer_batch(
+            table, {"x": answerer}, workload, backend="bitmap"
+        )["x"]
+
     def test_perturbed(self, census_small, workload):
         published = perturb_table(
             census_small, 4.0, rng=np.random.default_rng(2)
         )
         answerer = PerturbedAnswerer(published)
         scalar = np.array([answerer(q) for q in workload])
-        assert np.array_equal(scalar, answerer.batch(workload))
+        assert np.array_equal(
+            scalar, self._seam(census_small, answerer, workload)
+        )
 
     def test_anatomy(self, census_small, workload):
         published = anatomize(census_small, 4, rng=np.random.default_rng(1))
         answerer = AnatomyAnswerer(published)
         scalar = np.array([answerer(q) for q in workload])
-        assert np.array_equal(scalar, answerer.batch(workload))
+        assert np.array_equal(
+            scalar, self._seam(census_small, answerer, workload)
+        )
 
     def test_baseline(self, census_small, workload):
         answerer = BaselineAnswerer(BaselinePublication(census_small))
         scalar = np.array([answerer(q) for q in workload])
-        assert np.array_equal(scalar, answerer.batch(workload))
+        assert np.array_equal(
+            scalar, self._seam(census_small, answerer, workload)
+        )
 
     def test_batch_with_shared_masks(self, census_small, workload):
         """batch_estimates routes shared masks; results stay identical."""
@@ -344,6 +369,293 @@ class TestBatchAnswerers:
         rowwise = data.sum(axis=1)
         scalar = np.array([data[i].sum() for i in range(data.shape[0])])
         assert np.array_equal(rowwise, scalar)
+
+
+def _histogram_publications(table: Table, seed: int) -> dict:
+    """Perturbed, Anatomy and Baseline publications over any table.
+
+    The Anatomy groups are a random partition into groups of one to
+    three rows: the estimator reads any partition, so generated tables
+    need not be ℓ-eligible.
+    """
+    rng = np.random.default_rng(seed)
+    n = table.n_rows
+    sizes = rng.integers(1, 4, size=n)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    offsets = np.append(offsets[offsets < n], n)
+    return {
+        "perturbed": perturb_table(table, 3.0, rng=rng),
+        "anatomy": AnatomyTable(table, rng.permutation(n), offsets, l=1),
+        "baseline": BaselinePublication(table),
+    }
+
+
+def _aggregates(schema) -> list:
+    """COUNT (``None``), then SUM and AVG over every measure dim."""
+    return [None] + [
+        (dim, op) for dim in range(schema.n_qi) for op in ("sum", "avg")
+    ]
+
+
+def _scalar(answerer, queries, aggregate) -> np.ndarray:
+    if aggregate is None:
+        return np.array([answerer(q) for q in queries])
+    return np.array(
+        [answer_aggregate(answerer, q, *aggregate) for q in queries]
+    )
+
+
+def _with_engine(table: Table, index_budget: int) -> ArtifactCache:
+    """A cache holding ``table``'s mask engine built under a budget
+    (``0`` forces the zone-map scan)."""
+    cache = ArtifactCache()
+    cache.put(
+        ("mask_engine", cache.table_key(table)),
+        TableMaskEngine(table, index_budget=index_budget),
+    )
+    return cache
+
+
+class TestHistogramPass:
+    """The bitmap regime's one histogram pass equals the scalar oracles
+    and the cube path for every mask-consuming kind and aggregate."""
+
+    @given(case=scan_cases(), seed=st.integers(0, 2**31 - 1))
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_pass_matches_oracles_and_cube(self, case, seed):
+        self._check(*case, seed)
+
+    def test_one_row_table(self):
+        schema = Schema(
+            [Attribute.numerical("x", 3, 9), Attribute.numerical("y", 0, 4)],
+            SensitiveAttribute("s", ("a", "b", "c")),
+        )
+        table = Table(schema, np.array([[5, 2]]), np.array([1]))
+        queries = [
+            CountQuery(((0, (5, 5)),), (1, 1)),  # the row
+            CountQuery(((0, (6, 9)),), (0, 2)),  # no row
+            CountQuery(((1, (0, 4)),), (0, 0)),  # the row, SA outside
+        ]
+        self._check(table, queries, seed=0)
+
+    @staticmethod
+    def _check(table, queries, seed):
+        # An unconstrained query beside the others, which also match no
+        # row when a range is empty or out of domain.
+        queries = [*queries, CountQuery((), (0, table.sa_cardinality - 1))]
+        publications = _histogram_publications(table, seed)
+        answerers = {
+            name: make_answerer(pub) for name, pub in publications.items()
+        }
+        enc = EncodedWorkload.encode(table.schema, queries)
+        caches = [
+            _with_engine(table, budget) for budget in (DEFAULT_INDEX_BUDGET, 0)
+        ]
+        assert caches[0].get(("mask_engine", caches[0].table_key(table))).index
+        for aggregate in _aggregates(table.schema):
+            expected = {
+                name: _scalar(answerer, queries, aggregate)
+                for name, answerer in answerers.items()
+            }
+            for cache in caches:
+                got = answer_batch(
+                    table, answerers, enc, aggregate,
+                    artifacts=cache, backend="bitmap",
+                )
+                for name in answerers:
+                    assert np.array_equal(
+                        got[name], expected[name], equal_nan=True
+                    ), (name, aggregate)
+            if aggregate is not None and aggregate[1] == "avg":
+                continue
+            measure_dim = None if aggregate is None else aggregate[0]
+            for name, answerer in answerers.items():
+                cube = build_count_cube(
+                    publications[name], budget=2**22, measure_dim=measure_dim
+                )
+                histograms = None if cube is None else cube.histograms(enc)
+                if histograms is not None:
+                    assert np.array_equal(
+                        answerer.batch(enc, histograms), expected[name]
+                    ), (name, aggregate)
+        for dim in range(table.schema.n_qi):
+            expected = [
+                answer_aggregate_precise(table, q, dim) for q in queries
+            ]
+            for cache in caches:
+                got = batch_aggregate_precise(
+                    table, enc, dim, artifacts=cache, backend="bitmap"
+                )
+                assert got.tolist() == expected
+
+    def test_pass_boundaries_do_not_change_answers(
+        self, census_small, workload, monkeypatch
+    ):
+        """Passes of one query (cells) and one pair each give the same
+        answers as the default passes."""
+        publications = _histogram_publications(census_small, 5)
+        aggregates = _aggregates(census_small.schema)
+        expected = [
+            answer_batch(census_small, publications, workload, aggregate,
+                         backend="bitmap")
+            for aggregate in aggregates
+        ]
+        precise = batch_aggregate_precise(
+            census_small, workload, 1, backend="bitmap"
+        )
+        monkeypatch.setattr("repro.query.evaluate._PASS_CELLS", 1)
+        monkeypatch.setattr("repro.query.evaluate._PASS_PAIRS", 1)
+        for aggregate, before in zip(aggregates, expected):
+            after = answer_batch(
+                census_small, publications, workload, aggregate,
+                backend="bitmap",
+            )
+            for name in publications:
+                assert np.array_equal(
+                    after[name], before[name], equal_nan=True
+                ), (name, aggregate)
+        assert np.array_equal(
+            batch_aggregate_precise(
+                census_small, workload, 1, backend="bitmap"
+            ),
+            precise,
+        )
+
+
+    def test_fraction_blocks_do_not_change_answers(
+        self, census_small, workload, monkeypatch
+    ):
+        """Anatomy's functional answers a cube-sized batch in blocks of
+        queries; blocks of one query give the scalar answers too."""
+        answerer = AnatomyAnswerer(
+            anatomize(census_small, 4, rng=np.random.default_rng(1))
+        )
+        enc = EncodedWorkload.encode(census_small.schema, workload)
+        passes = TableMaskEngine(census_small).histograms(
+            enc, [(answerer.row_codes, answerer.width)]
+        )
+        histograms = np.concatenate([hist for _, _, (hist,) in passes])
+        expected = [answerer(q) for q in workload]
+        assert answerer.batch(enc, histograms).tolist() == expected
+        monkeypatch.setattr("repro.query.answer._FRACTION_CELLS", 1)
+        assert answerer.batch(enc, histograms).tolist() == expected
+
+
+class TestHistogramPassMemory:
+    """tracemalloc ceilings of the bitmap regime's COUNT and AVG, with
+    the mask engine and answerers prebuilt in a session cache."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        table = make_census(50_000, seed=3)
+        cache = ArtifactCache()
+        mask_engine(table, cache)
+        answerers = {
+            "anatomy": make_answerer(
+                anatomize(table, 4, rng=np.random.default_rng(1))
+            ),
+            "perturbed": make_answerer(
+                perturb_table(table, 4.0, rng=np.random.default_rng(2))
+            ),
+        }
+        return table, cache, answerers
+
+    @staticmethod
+    def _peak(table, cache, answerers, queries) -> int:
+        enc = EncodedWorkload.encode(table.schema, queries)
+        for aggregate in (None, (0, "avg")):  # warm the weight caches
+            answer_batch(table, answerers, enc.slice(0, 1), aggregate,
+                         artifacts=cache, backend="bitmap")
+        tracemalloc.start()
+        try:
+            for aggregate in (None, (0, "avg")):
+                answer_batch(table, answerers, enc, aggregate,
+                             artifacts=cache, backend="bitmap")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_random_workload_below_1000_bytes_per_row(self, setup):
+        """Materialized (queries × rows) mask blocks peaked at 1,534 B
+        per row here; passes bounded by cells and pairs stay below
+        1,000."""
+        table, cache, answerers = setup
+        queries = make_workload(table.schema, 2_000, 3, 0.1, rng=7)
+        peak = self._peak(table, cache, answerers, queries)
+        assert peak < 1_000 * table.n_rows
+
+    def test_all_rows_workload_below_420_bytes_per_row(self, setup):
+        """Every query matching every row is the pair bound's worst
+        case: a pass bounded by cells alone peaked above 2,000 B/row."""
+        table, cache, answerers = setup
+        queries = [CountQuery((), (0, 9 + i % 40)) for i in range(200)]
+        peak = self._peak(table, cache, answerers, queries)
+        assert peak < 420 * table.n_rows
+
+
+class TestSaRangeClipping:
+    """Every estimator reads an SA range through one clipping rule:
+    overhanging ranges are clipped to the domain, and empty ones
+    (out of domain, or inverted) estimate zero."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        # Three QI attributes, so every kind's cube fits its budget.
+        table = make_census(4_000, seed=3, qi_names=DEFAULT_QI)
+        publications = {
+            "burel": burel(table, 3.0).published,
+            **_histogram_publications(table, 3),
+            "anatomy": anatomize(table, 4, rng=np.random.default_rng(1)),
+        }
+        return table, publications
+
+    @staticmethod
+    def _queries(sa_ranges):
+        return [CountQuery(((0, (20, 60)),), r) for r in sa_ranges]
+
+    CASES = (((-3, 10), (0, 10)), ((45, 60), (45, 49)),
+             ((60, 70), None), ((5, 3), None))
+
+    def _check(self, estimate):
+        for sa_range, clipped in self.CASES:
+            got = estimate(sa_range)
+            if clipped is None:
+                assert np.all(got == 0.0), sa_range
+            else:
+                assert np.array_equal(got, estimate(clipped)), sa_range
+
+    def test_scalar_oracles(self, setup):
+        table, publications = setup
+        for published in publications.values():
+            answerer = make_answerer(published)
+            for aggregate in (None, (0, "sum")):
+                self._check(
+                    lambda r: _scalar(answerer, self._queries([r]), aggregate)
+                )
+        self._check(
+            lambda r: np.array([answer_precise(table, self._queries([r])[0])])
+        )
+
+    @pytest.mark.parametrize("backend", ["bitmap", "cube"])
+    def test_batch_seam(self, setup, backend):
+        table, publications = setup
+        cache = ArtifactCache()
+        for aggregate in (None, (0, "sum")):
+            def estimate(r):
+                got = answer_batch(table, publications, self._queries([r]),
+                                   aggregate, artifacts=cache,
+                                   backend=backend)
+                return np.array(list(got.values()))
+
+            self._check(estimate)
+        self._check(lambda r: answer_precise_batch(
+            table, self._queries([r]), artifacts=cache, backend=backend
+        ))
 
 
 class TestEvaluateWorkload:
