@@ -11,8 +11,8 @@ three ways:
   ranges and every shard runs inline through the same task functions
   the pool executes.
 * **sharded, pooled** — the same plan fanned out over a
-  ``ProcessPoolExecutor`` with the row arrays in
-  ``multiprocessing.shared_memory``.
+  ``ProcessPoolExecutor`` whose workers take the table, its Hilbert
+  keys and the shard row arrays once, at start-up.
 
 The headline number is the pooled chain's speedup over the unsharded
 single-process chain.  Two effects compound: the pool overlaps shard

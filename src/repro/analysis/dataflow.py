@@ -283,8 +283,8 @@ class ModuleInfo:
         head = self.imports.get(cur.id, cur.id)
         return ".".join([head, *reversed(parts)])
 
-    def enclosing_function(self, line: int) -> str | None:
-        """Qualname of the innermost function containing ``line``."""
+    def function_at(self, line: int) -> FunctionInfo | None:
+        """The innermost function containing ``line``."""
         best: FunctionInfo | None = None
         for fn in self.functions:
             node = fn.node
@@ -292,6 +292,11 @@ class ModuleInfo:
             if node.lineno <= line <= end:
                 if best is None or node.lineno > best.node.lineno:
                     best = fn
+        return best
+
+    def enclosing_function(self, line: int) -> str | None:
+        """Qualname of the innermost function containing ``line``."""
+        best = self.function_at(line)
         return best.qualname if best else None
 
     def is_library_code(self) -> bool:

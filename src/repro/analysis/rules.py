@@ -9,7 +9,7 @@ history):
 ========= ============================================================
 RNG001    silent ``default_rng`` fallbacks (the explicit-seed contract)
 ALLOC001  ``np.empty`` scatter-filled without sentinel/coverage check
-PICKLE001 lambdas/closures submitted to a process pool
+PICKLE001 lambdas/closures submitted to or initializing a process pool
 OBS001    direct Tracer()/MetricsRegistry() in library code
 CACHE001  ArtifactCache keys built from object identity (``id(...)``)
 CACHE002  identity-keyed memos (weak registries, ``__dict__`` writes)
@@ -300,13 +300,17 @@ class Alloc001(Rule):
 
 @register_rule
 class Pickle001(Rule):
-    """Process-pool tasks must be module top-level (picklable).
+    """Process-pool tasks and initializers must be module top-level
+    (picklable).
 
     ``ProcessPoolExecutor.submit(lambda: ...)`` and closures defined
     inside the submitting function fail to pickle at runtime — and only
     at runtime, on the first ``workers > 1`` path someone exercises.
-    The contract lives in ``repro/parallel/_worker.py``: every task a
-    pool runs is a module top-level function.
+    The same holds for ``ProcessPoolExecutor(initializer=...)`` under
+    ``spawn`` or ``forkserver``, and the initializer is how pool workers
+    take their inputs.  The contract lives in
+    ``repro/parallel/_worker.py``: every task a pool runs, and its
+    initializer, is a module top-level function.
     """
 
     rule_id = "PICKLE001"
@@ -334,6 +338,19 @@ class Pickle001(Rule):
                         names.add(name)
         return names
 
+    @staticmethod
+    def _unpicklable(value: ast.expr, fn: "FunctionInfo | None"):
+        """Why ``value`` cannot be pickled by reference, or None."""
+        if isinstance(value, ast.Lambda):
+            return "a lambda"
+        if fn is None or not isinstance(value, ast.Name):
+            return None
+        if value.id in fn.nested_defs:
+            return f"locally defined function '{value.id}'"
+        if any(isinstance(v, ast.Lambda) for v in fn.assigned_from(value.id)):
+            return f"lambda-valued name '{value.id}'"
+        return None
+
     def check(self, module, project) -> Iterator[Finding]:
         for fn in module.functions:
             pools = self._pool_names(module, fn)
@@ -349,24 +366,38 @@ class Pickle001(Rule):
                     and node.args
                 ):
                     continue
-                task = node.args[0]
-                reason = None
-                if isinstance(task, ast.Lambda):
-                    reason = "a lambda"
-                elif isinstance(task, ast.Name):
-                    if task.id in fn.nested_defs:
-                        reason = f"locally defined function '{task.id}'"
-                    elif any(
-                        isinstance(v, ast.Lambda)
-                        for v in fn.assigned_from(task.id)
-                    ):
-                        reason = f"lambda-valued name '{task.id}'"
+                reason = self._unpicklable(node.args[0], fn)
                 if reason:
                     yield self.finding(
                         module,
                         node,
                         f"{reason} submitted to a process pool cannot be "
                         "pickled; process-pool tasks must be module "
+                        "top-level functions (see repro/parallel/_worker.py)",
+                    )
+        yield from self._initializers(module)
+
+    def _initializers(self, module) -> Iterator[Finding]:
+        """``ProcessPoolExecutor(initializer=...)`` anywhere in the module,
+        judged in its innermost enclosing function."""
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            dotted = module.resolve(node.func)
+            if not (dotted and dotted.endswith("ProcessPoolExecutor")):
+                continue
+            for keyword in node.keywords:
+                if keyword.arg != "initializer":
+                    continue
+                reason = self._unpicklable(
+                    keyword.value, module.function_at(node.lineno)
+                )
+                if reason:
+                    yield self.finding(
+                        module,
+                        node,
+                        f"{reason} as a process pool's initializer cannot "
+                        "be pickled; pool initializers must be module "
                         "top-level functions (see repro/parallel/_worker.py)",
                     )
 

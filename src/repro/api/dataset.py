@@ -97,7 +97,7 @@ class Dataset:
         return self._telemetry
 
     # ------------------------------------------------------------------
-    # Context manager (releases worker pools / shared memory)
+    # Context manager (releases worker pools)
     # ------------------------------------------------------------------
 
     def __enter__(self) -> "Dataset":
@@ -256,8 +256,9 @@ class Dataset:
 
         Sessions share this facade's artifact cache and are memoized per
         ``(workers, shards)`` so repeated ``workers=N`` calls reuse one
-        process pool and one shared-memory copy of the row arrays.  Call
-        :meth:`close_parallel` to release them.
+        process pool, whose workers took the table, its Hilbert keys and
+        the shard row arrays at start-up.  Call :meth:`close_parallel`
+        to release them.
         """
         from ..parallel import ShardedSession
 
@@ -337,8 +338,8 @@ class Dataset:
         shards' cached artifacts are evicted; :meth:`refresh` then
         recomputes only those.
 
-        Memoized sharded sessions are closed (their shared-memory copies
-        describe the old table); the next sharded call rebuilds them.
+        Memoized sharded sessions are closed (their pools' workers hold
+        the old table); the next sharded call rebuilds them.
         """
         from ..core.retrieve import qi_space_keys
 

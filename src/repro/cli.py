@@ -146,10 +146,8 @@ def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=1,
         help="process count; >1 anonymizes sharded over N Hilbert-key "
-             "ranges (generalize/publish: deterministic, but groups form "
-             "within ranges, so the output depends on N — not on "
-             "scheduling) or answers queries through a process pool "
-             "(query: answers identical to --workers 1)",
+             "ranges (deterministic, but groups form within ranges, so the "
+             "output depends on N — not on scheduling)",
     )
 
 
@@ -267,8 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default=None,
         help="write queries + estimates as JSON",
     )
+    query.add_argument(
+        "--workers", type=int, default=2,
+        help="serving thread count (answers identical at every count)",
+    )
     _add_obs_args(query)
-    _add_workers_arg(query)
 
     stats = sub.add_parser(
         "stats",
@@ -543,12 +544,9 @@ def _run_query(args: argparse.Namespace) -> int:
 
     telemetry = _telemetry(args)
     store = PublicationStore(args.store)
-    workers = _workers(args)
-    service_kwargs = (
-        {"workers": workers, "executor": "process"} if workers else {}
-    )
     with QueryService(
-        store, backend=args.backend, telemetry=telemetry, **service_kwargs
+        store, workers=args.workers, backend=args.backend,
+        telemetry=telemetry,
     ) as service:
         try:
             record = service.load(args.pub_id)

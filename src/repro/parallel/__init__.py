@@ -7,7 +7,10 @@ process pool (or inline with ``workers=1`` — the same code path minus
 the pool), and merge the results deterministically so, at a fixed
 shard count, sharded outputs are byte-identical across worker counts
 (the shard count itself shapes a publication: groups form within key
-ranges).
+ranges).  The pool's workers take the table, its Hilbert keys and the
+shard row arrays once, at start-up — inherited under ``fork``, pickled
+once per worker under ``spawn`` or ``forkserver`` — and each task names
+only its shard.
 
 Entry points:
 
@@ -16,37 +19,21 @@ Entry points:
   ``publish``).
 * :func:`sweep_jobs` — job-level parallelism for parameter sweeps (one
   whole-table engine run per process).
-* :class:`ProcessEvaluator` — the process-pool answering backend of
-  :class:`repro.service.QueryService`'s ``executor="process"`` mode.
 * :class:`ShardPlan` / :class:`Shard` — the pure partition planner.
-* :class:`~repro.parallel.shm.ShmArrays` and friends — the
-  shared-memory row-array transport.
 
 The facade exposes the common paths directly:
-``Dataset.anonymize(..., workers=N)``, ``Dataset.sweep(specs,
-workers=N)`` and ``QueryService(..., executor="process")``.
+``Dataset.anonymize(..., workers=N)`` and ``Dataset.sweep(specs,
+workers=N)``.
 """
 
-from .executor import (
-    ProcessEvaluator,
-    ShardedRun,
-    ShardedSession,
-    sweep_jobs,
-)
+from .executor import ShardedRun, ShardedSession, sweep_jobs
 from .plan import Shard, ShardDiff, ShardPlan
-from .shm import ArrayHandle, ShmArrays, TableHandle, load_array, load_table
 
 __all__ = [
-    "ArrayHandle",
-    "ProcessEvaluator",
     "Shard",
     "ShardDiff",
     "ShardPlan",
     "ShardedRun",
     "ShardedSession",
-    "ShmArrays",
-    "TableHandle",
-    "load_array",
-    "load_table",
     "sweep_jobs",
 ]

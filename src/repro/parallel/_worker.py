@@ -2,24 +2,27 @@
 
 Everything here is a **top-level picklable function** taking plain
 picklable arguments — the contract a ``ProcessPoolExecutor`` imposes.
-The same functions also run inline for the ``workers=1`` serial
-fallback (the executor passes the in-process shard table instead of a
-shared-memory handle), which is what makes serial and pooled execution
-byte-identical: one code path, two transports.
+
+A pool's workers take their inputs at start-up:
+:class:`~repro.parallel.ShardedSession` builds its pool with
+``initializer=init_worker`` and hands it the table, its Hilbert keys and
+the per-shard row arrays once.  Under ``fork`` the workers inherit those
+objects without a copy; under ``spawn`` or ``forkserver`` they are
+pickled once per worker.  A task then names only its shard, and the
+worker slices that shard from its start-up state once
+(:class:`ShardSource`).  The ``workers=1`` serial fallback runs the same
+task functions inline over the session's own :class:`ShardSource`,
+which is what makes serial and pooled execution byte-identical.
 
 Shards are anonymized and evaluated here; the audit is not: a merged
 publication already carries its membership and SA histograms, so the
-parent builds its audit view directly.  Shard publications travel as
-columnar :class:`~repro.engine.shard.ShardPiece` arrays in both
-directions.
+parent builds its audit view directly.  Shard publications travel back
+as columnar :class:`~repro.engine.shard.ShardPiece` arrays.
 
-Per-process caches mirror the parent's content-digest discipline: shard
-tables are memoized by ``(table digest, shard index)``, serving
-artifacts live in a process-local :class:`repro.api.ArtifactCache`
-keyed by the very same digests the parent uses, and rebuilt
-publications are memoized by their content digest.  A worker therefore
-pays each reconstruction once per process, no matter how tasks are
-scheduled.
+Serving artifacts (mask engines, encoded workloads) live in a
+process-local :class:`repro.api.ArtifactCache` keyed by the very same
+content digests the parent uses, so a worker builds each once per
+process, no matter how tasks are scheduled.
 """
 
 from __future__ import annotations
@@ -30,28 +33,50 @@ from ..dataset.table import Table
 from ..engine.batch import PreparedTable
 from ..engine.registry import run as engine_run
 from ..engine.shard import ShardPiece, run_shard, shard_error
-from ..io import publication_from_payload
-from ..query.cube import CountCube
-from ..query.evaluate import (
-    answer_batch,
-    answer_precise_batch,
-    batch_estimates,
-)
+from ..query.evaluate import answer_precise_batch, batch_estimates
 from ..query.workload import EncodedWorkload
-from .shm import ArrayHandle, TableHandle, load_array, load_table
 
 # ----------------------------------------------------------------------
 # Per-process state
 # ----------------------------------------------------------------------
 
-#: (table digest, shard index | None) -> (Table, keys | None)
-_SHARDS: dict = {}
 
-#: content digest -> (publication, answerer) for the serving path
-_PUBS: dict = {}
+class ShardSource:
+    """A table, its Hilbert keys and its per-shard row arrays.
+
+    :meth:`shard` slices a shard's ``(table, keys)`` on first use and
+    memoizes it per shard index, so a process pays each slice once.
+    """
+
+    def __init__(self, table: Table, keys: np.ndarray, shard_rows):
+        self.table = table
+        self.keys = keys
+        self.shard_rows = shard_rows
+        self._shards: dict[int, tuple] = {}
+
+    def shard(self, index: "int | None") -> "tuple[Table, np.ndarray]":
+        """``(table, keys)`` of shard ``index``; ``None``: the whole table."""
+        if index is None:
+            return self.table, self.keys
+        hit = self._shards.get(index)
+        if hit is None:
+            rows = self.shard_rows[index]
+            hit = (self.table.subset(rows), self.keys[rows])
+            self._shards[index] = hit
+        return hit
+
+
+#: This pool worker's start-up state (see :func:`init_worker`).
+_SOURCE: "ShardSource | None" = None
 
 #: lazily created process-local ArtifactCache (mask engines, cubes, ...)
 _CACHE = None
+
+
+def init_worker(table: Table, keys: np.ndarray, shard_rows) -> None:
+    """Pool initializer: keep the session's inputs for every task."""
+    global _SOURCE
+    _SOURCE = ShardSource(table, keys, shard_rows)
 
 
 def _artifact_cache():
@@ -73,7 +98,7 @@ def traced_task(fn, enabled: bool, *args):
     mergeable registry export — for the parent session to
     :meth:`~repro.obs.Tracer.adopt` and :meth:`~repro.obs.MetricsRegistry.
     merge`.  Disabled, it is a plain pass-through call (``(result,
-    None)``), identical for the pooled and serial transports.
+    None)``), identical for pooled and serial execution.
     """
     if not enabled:
         return fn(*args), None
@@ -87,33 +112,15 @@ def traced_task(fn, enabled: bool, *args):
     }
 
 
-def reset_worker_state() -> None:
-    """Drop all per-process memos (tests use this to measure cold paths)."""
-    global _CACHE
-    _SHARDS.clear()
-    _PUBS.clear()
-    _CACHE = None
+def run_task(fn, enabled: bool, shard, *args, source=None):
+    """``fn(table, keys, *args)`` over one shard (``None``: the whole
+    table) of ``source``, through :func:`traced_task`.
 
-
-def _resolve_shard(source, rows, shard_index):
-    """``(table, keys)`` of one shard, from either transport.
-
-    ``source`` is a :class:`TableHandle` in pooled mode (attach shared
-    memory, copy the shard's rows out, memoize per process) or an
-    in-process ``(table, keys)`` pair in serial mode (already subset by
-    the executor).
+    Pool workers leave ``source`` unset and read their start-up state;
+    the serial fallback passes the session's own :class:`ShardSource`.
     """
-    if isinstance(source, TableHandle):
-        token = (source.digest, shard_index)
-        hit = _SHARDS.get(token)
-        if hit is None:
-            if isinstance(rows, ArrayHandle):
-                rows = load_array(rows)
-            hit = load_table(source, rows)
-            _SHARDS[token] = hit
-        return hit
-    table, keys = source
-    return table, keys
+    table, keys = (_SOURCE if source is None else source).shard(shard)
+    return traced_task(fn, enabled, table, keys, *args)
 
 
 # ----------------------------------------------------------------------
@@ -122,8 +129,8 @@ def _resolve_shard(source, rows, shard_index):
 
 
 def shard_anonymize(
-    source,
-    rows,
+    table: Table,
+    keys: np.ndarray,
     shard_index: int,
     n_shards: int,
     algorithm: str,
@@ -134,15 +141,14 @@ def shard_anonymize(
 ) -> ShardPiece:
     """Run one shard's pipeline; return the publication in columnar form.
 
-    A thin transport adapter over :func:`repro.engine.shard.run_shard`:
-    resolve the shard table from the active transport, spawn the shard's
-    generator, run.  The piece ships row *indices local to the shard*,
-    the group offsets and the boxes — never the shard table itself — so
-    the transfer back to the parent is a few percent of the table size.
+    A thin adapter over :func:`repro.engine.shard.run_shard`: spawn the
+    shard's generator, run.  The piece ships row *indices local to the
+    shard*, the group offsets and the boxes — never the shard table
+    itself — so the transfer back to the parent is a few percent of the
+    table size.
     A shard the algorithm cannot anonymize raises a ``ValueError`` that
     names the shard, chained to the algorithm's own.
     """
-    table, keys = _resolve_shard(source, rows, shard_index)
     rng = np.random.default_rng(seed_seq) if seed_seq is not None else None
     try:
         return run_shard(
@@ -164,8 +170,8 @@ def shard_anonymize(
 
 
 def shard_evaluate(
-    source,
-    rows,
+    table: Table,
+    keys: np.ndarray,
     shard_index: int,
     piece: "ShardPiece | None",
     enc: EncodedWorkload,
@@ -182,7 +188,6 @@ def shard_evaluate(
     """
     from ..obs import coerce_telemetry
 
-    table, _ = _resolve_shard(source, rows, shard_index)
     cache = _artifact_cache()
     with coerce_telemetry(telemetry).span(
         "shard.evaluate", rows=table.n_rows, queries=enc.n_queries
@@ -214,9 +219,9 @@ class _DetachedSource:
 def _strip_source(published):
     """Replace the embedded source table with a digest marker, in place.
 
-    Worker-side tables are shared-memory reconstructions; pickling them
-    back inside every publication would copy the whole table per job.
-    The parent re-attaches its own (content-identical) table object.
+    Pickling the worker's table back inside every publication would copy
+    the whole table per job; the parent re-attaches its own
+    (content-identical) table object.
     """
     from ..io import table_digest
 
@@ -239,21 +244,15 @@ def reattach_source(published, table: Table):
     return published
 
 
-def job_run(source, algorithm: str, params: dict, seed, telemetry=None):
+def job_run(
+    table: Table, keys: np.ndarray, algorithm: str, params: dict, seed,
+    telemetry=None,
+):
     """Run one whole-table engine job in this process (sweep mode).
 
     Returns the full :class:`~repro.engine.pipeline.RunResult` with the
     publication's source stripped to a digest marker.
     """
-    token = (source.digest, None) if isinstance(source, TableHandle) else None
-    if token is not None:
-        hit = _SHARDS.get(token)
-        if hit is None:
-            hit = load_table(source, None)
-            _SHARDS[token] = hit
-        table, keys = hit
-    else:
-        table, keys = source
     prepared = PreparedTable(table)
     prepared._keys = keys
     result = engine_run(
@@ -263,62 +262,3 @@ def job_run(source, algorithm: str, params: dict, seed, telemetry=None):
     _strip_source(result.published)
     return result
 
-
-# ----------------------------------------------------------------------
-# Serving (process-pool estimates for QueryService)
-# ----------------------------------------------------------------------
-
-
-def load_publication_payload(digest: str, meta: dict, array_handles: dict):
-    """Materialize a served publication in this process (idempotent)."""
-    if digest in _PUBS:
-        return True
-    arrays = {
-        name: load_array(handle) for name, handle in array_handles.items()
-    }
-    publication = publication_from_payload(meta, arrays)
-    publication._content_digest = digest
-    cube_meta = meta.get("aux_cube")
-    if cube_meta is not None:
-        publication._count_cube = CountCube.from_payload(cube_meta, arrays)
-    from ..query.evaluate import make_answerer
-
-    _PUBS[digest] = (publication, make_answerer(publication))
-    return True
-
-
-def serve_estimates(
-    digest: str,
-    enc: EncodedWorkload,
-    aggregate: "tuple[int, str] | None" = None,
-    meta: dict | None = None,
-    array_handles: dict | None = None,
-    backend: str = "auto",
-) -> "tuple[np.ndarray, str]":
-    """COUNT/SUM/AVG estimates for a served publication, by content
-    digest, under the service's ``backend``, with the backend label the
-    answering seam reports.
-
-    The first task naming a digest carries the payload handles; any
-    worker that has not yet materialized the publication does so on
-    demand, so results are independent of task→worker scheduling.
-    """
-    if digest not in _PUBS:
-        if meta is None or array_handles is None:
-            raise KeyError(
-                f"publication {digest[:12]} not materialized in this "
-                "worker and no payload was provided"
-            )
-        load_publication_payload(digest, meta, array_handles)
-    publication, answerer = _PUBS[digest]
-    served: dict = {}
-    estimates = answer_batch(
-        publication.source,
-        {"served": answerer},
-        enc,
-        aggregate,
-        artifacts=_artifact_cache(),
-        backend=backend,
-        served=served,
-    )["served"]
-    return estimates, served["served"]

@@ -4,7 +4,10 @@
 ranges (:class:`~repro.parallel.plan.ShardPlan`), runs anonymization
 and workload evaluation per shard — in a ``ProcessPoolExecutor`` when
 ``workers > 1``, inline when ``workers == 1`` — and merges the shard
-results into whole-table outputs.  The audit runs in the parent: the
+results into whole-table outputs.  The pool's workers take the table,
+its Hilbert keys and the shard row arrays once, at start-up
+(:func:`repro.parallel._worker.init_worker`); a task names only its
+shard.  The audit runs in the parent: the
 merged publication already carries its membership and SA histograms,
 so its view costs no shard work.
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import resource_tracker
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -46,7 +49,6 @@ from ..query.workload import EncodedWorkload
 from ..rng import spawn_seeds
 from . import _worker
 from .plan import ShardPlan
-from .shm import ShmArrays
 
 
 def _merge_stage_seconds(pieces) -> dict:
@@ -191,7 +193,11 @@ class ShardedSession:
             code path.
 
     Use as a context manager (or call :meth:`close`) when ``workers >
-    1``: the pool and the shared-memory segments are released there.
+    1``: the pool is released there.  A pool that breaks (a worker
+    died) is rebuilt and the fan-out rerun once; tasks are pure
+    functions of their shard and seed, so the results do not change.
+    A second break raises :class:`BrokenProcessPool`, and the session's
+    next call starts a fresh pool.
     """
 
     def __init__(
@@ -234,105 +240,104 @@ class ShardedSession:
             self.plan = ShardPlan.build(
                 self._keys, shards if shards is not None else workers
             )
+        self._source = _worker.ShardSource(
+            table, self._keys, [shard.rows for shard in self.plan]
+        )
         self._pool: ProcessPoolExecutor | None = None
-        self._shm: ShmArrays | None = None
-        self._handle = None
-        self._row_handles = None
-        self._local = None  # serial-mode (subtable, keys) per shard
         self._closed = False
 
     # ------------------------------------------------------------------
-    # Transport
+    # Fan-out
     # ------------------------------------------------------------------
-
-    def _serial_shard(self, i: int):
-        if self._local is None:
-            self._local = [None] * self.plan.n_shards
-        if self._local[i] is None:
-            shard = self.plan.shards[i]
-            self._local[i] = (
-                self.table.subset(shard.rows), self._keys[shard.rows]
-            )
-        return self._local[i]
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._closed:
             raise RuntimeError("the sharded session is closed")
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        if self._shm is None:
-            self._shm = ShmArrays()
-            self._handle = self._shm.share_table(self.table, self._keys)
-            self._row_handles = [
-                self._shm.share(shard.rows) for shard in self.plan
-            ]
+            source = self._source
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_worker.init_worker,
+                initargs=(source.table, source.keys, source.shard_rows),
+            )
         return self._pool
 
-    def _shard_args(self, i: int):
-        """``(source, rows)`` of shard ``i`` for the active transport."""
-        if self.workers == 1:
-            return self._serial_shard(i), None
-        return self._handle, self._row_handles[i]
+    def _drop_pool(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+
+    def _pooled(self, fn, enabled: bool, tasks) -> list:
+        """Every task's ``run_task`` result from the pool, in order;
+        a broken pool is rebuilt and the fan-out rerun once."""
+        for retry in (True, False):
+            pool = self._ensure_pool()
+            try:
+                futures = [
+                    pool.submit(_worker.run_task, fn, enabled, shard, *args)
+                    for shard, args in tasks
+                ]
+                return [future.result() for future in futures]
+            except BrokenProcessPool:
+                self._drop_pool()
+                if not retry:
+                    raise
+
+    def _fan_out(self, fn, tasks, span_name: str, label: str, **attrs):
+        """Run ``fn(table, keys, *args)`` per ``(shard, args)`` task.
+
+        ``shard`` is a shard index, or ``None`` for the whole table.
+        Tasks run inline when ``workers == 1``, else in the pool;
+        results come back in task order either way.  Each goes through
+        :func:`repro.parallel._worker.traced_task` — a pass-through when
+        telemetry is disabled; with it enabled, the task runs under a
+        worker-local tracer whose span/metric buffers ship back with the
+        result and are adopted in task order under the fan-out span,
+        tagged ``label=i``, so the session trace is identical at any
+        worker count.
+        """
+        tel = self.telemetry
+        with tel.span(span_name, **attrs, workers=self.workers) as parent:
+            if self.workers == 1:
+                wrapped = [
+                    _worker.run_task(
+                        fn, tel.enabled, shard, *args, source=self._source
+                    )
+                    for shard, args in tasks
+                ]
+            else:
+                wrapped = self._pooled(fn, tel.enabled, tasks)
+            results = []
+            for i, (result, payload) in enumerate(wrapped):
+                if payload is not None:
+                    tel.adopt_spans(
+                        payload["spans"], parent=parent, **{label: i}
+                    )
+                    tel.merge_metrics(payload["metrics"])
+                results.append(result)
+            return results
 
     def _map(
         self,
         fn,
         per_shard_extra: "list[tuple]",
         span_name: str = "parallel.map",
-    ) -> "list[dict]":
-        """Run ``fn(source, rows, i, *extra_i)`` per shard, in order.
-
-        Every task goes through :func:`repro.parallel._worker.traced_task`
-        — a pass-through when telemetry is disabled; with it enabled, the
-        task runs under a worker-local tracer and its span/metric buffers
-        ship back with the result.  Adoption folds in ascending shard
-        order (the same order the results merge in), so the session
-        trace is identical at any worker count.
-        """
-        tel = self.telemetry
-        with tel.span(
-            span_name, shards=self.plan.n_shards, workers=self.workers
-        ) as parent:
-            if self.workers == 1:
-                wrapped = [
-                    _worker.traced_task(
-                        fn, tel.enabled, *self._shard_args(i), i, *extra
-                    )
-                    for i, extra in enumerate(per_shard_extra)
-                ]
-            else:
-                pool = self._ensure_pool()
-                futures = [
-                    pool.submit(
-                        _worker.traced_task,
-                        fn,
-                        tel.enabled,
-                        *self._shard_args(i),
-                        i,
-                        *extra,
-                    )
-                    for i, extra in enumerate(per_shard_extra)
-                ]
-                wrapped = [future.result() for future in futures]
-            results = []
-            for i, (result, payload) in enumerate(wrapped):
-                if payload is not None:
-                    tel.adopt_spans(payload["spans"], parent=parent, shard=i)
-                    tel.merge_metrics(payload["metrics"])
-                results.append(result)
-            return results
+    ) -> list:
+        """Run ``fn(table, keys, i, *extra_i)`` over each shard ``i``."""
+        return self._fan_out(
+            fn,
+            [(i, (i, *extra)) for i, extra in enumerate(per_shard_extra)],
+            span_name,
+            "shard",
+            shards=self.plan.n_shards,
+        )
 
     def close(self) -> None:
-        """Shut the pool down and unlink the shared-memory segments."""
+        """Shut the pool down."""
         if self._closed:
             return
         self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._shm is not None:
-            self._shm.close()
-            self._shm = None
+        self._drop_pool()
 
     def __enter__(self) -> "ShardedSession":
         return self
@@ -496,40 +501,16 @@ class ShardedSession:
         order, byte-identical to a serial :func:`repro.engine.batch.
         run_many` of the same jobs.
         """
-        tel = self.telemetry
-        with tel.span(
-            "parallel.sweep", jobs=len(jobs), workers=self.workers
-        ) as parent:
-            if self.workers == 1:
-                source = (self.table, self._keys)
-                wrapped = [
-                    _worker.traced_task(
-                        _worker.job_run, tel.enabled, source,
-                        job.algorithm, dict(job.params), job.seed,
-                    )
-                    for job in jobs
-                ]
-            else:
-                pool = self._ensure_pool()
-                futures = [
-                    pool.submit(
-                        _worker.traced_task,
-                        _worker.job_run,
-                        tel.enabled,
-                        self._handle,
-                        job.algorithm,
-                        dict(job.params),
-                        job.seed,
-                    )
-                    for job in jobs
-                ]
-                wrapped = [future.result() for future in futures]
-            results = []
-            for i, (result, payload) in enumerate(wrapped):
-                if payload is not None:
-                    tel.adopt_spans(payload["spans"], parent=parent, job=i)
-                    tel.merge_metrics(payload["metrics"])
-                results.append(result)
+        results = self._fan_out(
+            _worker.job_run,
+            [
+                (None, (job.algorithm, dict(job.params), job.seed))
+                for job in jobs
+            ],
+            "parallel.sweep",
+            "job",
+            jobs=len(jobs),
+        )
         for result in results:
             _worker.reattach_source(result.published, self.table)
         return results
@@ -552,83 +533,3 @@ def sweep_jobs(
     ) as session:
         return session.sweep(normalized)
 
-
-class ProcessEvaluator:
-    """A process pool answering serving batches for `QueryService`.
-
-    Publications are shipped once per content digest — payload arrays go
-    into shared memory, workers rebuild and memoize the publication and
-    its answerer — and every batch task carries the (tiny) handles, so
-    answers never depend on which worker a task lands on.  Per-query
-    estimates are computed by the same batched kernels the thread path
-    uses, hence bit-identical results.
-    """
-
-    def __init__(self, workers: int = 2):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self._pool = ProcessPoolExecutor(max_workers=workers)
-        # Under fork the pool forks its workers at the first submit.  Do
-        # it now, before `QueryService` starts its serving threads: a
-        # worker forked from one serving thread while another holds the
-        # resource tracker's lock (taken by every shared-memory create
-        # and attach) deadlocks at its first attach.  The tracker starts
-        # first so the workers inherit it.
-        resource_tracker.ensure_running()
-        self._pool.submit(int).result()
-        self._shm = ShmArrays()
-        self._payloads: dict[str, tuple] = {}
-        self._closed = False
-
-    def register(self, publication) -> str:
-        """Share a publication's payload, with the count cube attached
-        to it (a store load attaches one); returns its content digest."""
-        from ..io import publication_digest, publication_payload
-
-        digest = publication_digest(publication)
-        if digest not in self._payloads:
-            meta, arrays = publication_payload(publication)
-            cube = getattr(publication, "_count_cube", None)
-            if cube is not None:
-                cube_meta, cube_arrays = cube.to_payload()
-                meta = {**meta, "aux_cube": cube_meta}
-                arrays = {**arrays, **cube_arrays}
-            handles = {
-                name: self._shm.share(array)
-                for name, array in arrays.items()
-            }
-            self._payloads[digest] = (meta, handles)
-        return digest
-
-    def answer(
-        self, publication, enc: EncodedWorkload, aggregate=None,
-        backend: str = "auto",
-    ) -> "tuple[np.ndarray, str]":
-        """COUNT (``aggregate=None``) or ``(measure_dim, op)`` SUM/AVG
-        estimates of one publication over one encoded batch under
-        ``backend``, with the backend label that answered it."""
-        if self._closed:
-            raise RuntimeError("the evaluator is closed")
-        digest = self.register(publication)
-        meta, handles = self._payloads[digest]
-        return self._pool.submit(
-            _worker.serve_estimates, digest, enc, aggregate, meta, handles,
-            backend,
-        ).result()
-
-    def estimates(
-        self, publication, enc: EncodedWorkload
-    ) -> np.ndarray:
-        """Batched COUNT estimates of one publication over one batch."""
-        return self.answer(publication, enc)[0]
-
-    def forget(self, digest: str) -> None:
-        """Drop a publication's shared payload record (LRU eviction)."""
-        self._payloads.pop(digest, None)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._pool.shutdown(wait=True)
-        self._shm.close()

@@ -486,27 +486,37 @@ class TableMaskEngine:
         return self.index.unpack(self.index.qi_bits(enc, start, stop))
 
     def histograms(
-        self, enc: EncodedWorkload, kinds, measure: np.ndarray | None = None
+        self, enc: EncodedWorkload, kinds, measure: np.ndarray | None = None,
+        weighted=None,
     ):
         """Histograms of row codes over the rows in each query's QI box.
 
         ``kinds`` is a sequence of ``(row_codes, width)``; a kind's
         histogram of a query counts its box's rows per code in
         ``[0, width)`` (``row_codes`` ``None`` and ``width`` 1: all rows
-        in one bin), each row weighing its ``measure`` value when one is
-        given.  Yields ``(start, stop, histograms)``, one
+        in one bin), each row weighing its ``measure`` value where
+        ``weighted`` (one flag per kind; default: every kind when a
+        measure is given).  Yields ``(start, stop, histograms)``, one
         ``(stop - start, width)`` array per kind, over query blocks in
         order.
 
         One pass serves every kind: a ``flatnonzero`` over the block's
         masks gives its (query, row) pairs, one gather takes their
         measure, and per kind one gather of the codes and one
-        ``bincount`` over ``query × width + code`` give the histograms.
-        Counts and integer measure sums are exact, so the order of the
-        pairs cannot change them.  A pass holds at most
+        ``bincount`` over ``query × width + code`` give the histograms;
+        a kind with the same codes and width as the one before it reuses
+        those bins, so an AVG's weighted and counted histograms cost one
+        gather.  Counts and integer measure sums are exact, so the order
+        of the pairs cannot change them.  A pass holds at most
         :data:`_PASS_CELLS` mask cells and :data:`_PASS_PAIRS` pairs
         (or one query's).
         """
+        if weighted is None:
+            weighted = [measure is not None] * len(kinds)
+        same_bins = [
+            i > 0 and kinds[i - 1][0] is codes and kinds[i - 1][1] == width
+            for i, (codes, width) in enumerate(kinds)
+        ]
         n = self.table.n_rows
         widest = max([n, *(width for _, width in kinds)])
         step = max(1, _PASS_CELLS // max(1, widest))
@@ -529,14 +539,20 @@ class TableMaskEngine:
                 rows -= np.repeat(np.arange(hi - lo) * n, counts)
                 weights = None if measure is None else measure[rows]
                 out = []
-                for codes, width in kinds:
-                    # A pair's bin: its query's offset plus its row's code.
-                    key = np.repeat(np.arange(hi - lo) * width, counts)
-                    if codes is not None:
-                        key += codes[rows]
+                for (codes, width), weigh, same in zip(
+                    kinds, weighted, same_bins
+                ):
+                    if not same:
+                        # A pair's bin: its query's offset plus its row's
+                        # code.
+                        key = np.repeat(np.arange(hi - lo) * width, counts)
+                        if codes is not None:
+                            key += codes[rows]
                     out.append(
-                        np.bincount(key, weights, minlength=(hi - lo) * width)
-                        .reshape(hi - lo, width)
+                        np.bincount(
+                            key, weights if weigh else None,
+                            minlength=(hi - lo) * width,
+                        ).reshape(hi - lo, width)
                     )
                 yield first + lo, first + hi, out
                 lo = hi
@@ -702,7 +718,7 @@ def _precise(
         return cube.range_sums(lo, hi)
     if measure_dim is None:
         return mask_engine(table, artifacts).precise(enc)
-    users = {"precise": _SaRangeSums(table)}
+    users = {"precise": (_SaRangeSums(table), True)}
     return _bitmap_answers(table, users, enc, artifacts, measure_dim)["precise"]
 
 
@@ -729,30 +745,36 @@ def _bitmap_answers(
     artifacts,
     measure_dim: int | None,
 ) -> "dict[str, np.ndarray]":
-    """Each histogram user's answers from the bitmap engine, counted or
-    weighted by the ``measure_dim`` column.
+    """Each histogram user's answers from the bitmap engine.
 
-    Every user names its ``row_codes`` and ``width`` and answers from
-    ``batch(enc, histograms)``; all of them share one histogram pass
-    (:meth:`TableMaskEngine.histograms`).  When none needs row codes or
-    a measure — a Baseline COUNT — the histograms are the QI-match
-    sizes, which the popcount kernel gives without unpacking masks.
+    ``users`` maps a key to ``(user, weighted)``: the user names its
+    ``row_codes`` and ``width`` and answers from ``batch(enc,
+    histograms)``, its rows weighted by the ``measure_dim`` column when
+    ``weighted``, else counted.  All of them share one histogram pass
+    (:meth:`TableMaskEngine.histograms`), which gathers the measure
+    once.  When none needs row codes or a weight — a Baseline COUNT —
+    the histograms are the QI-match sizes, which the popcount kernel
+    gives without unpacking masks.
     """
     engine = mask_engine(table, artifacts)
-    if measure_dim is None and all(
-        user.row_codes is None for user in users.values()
+    weighted = [weigh for _, weigh in users.values()]
+    if not any(weighted) and all(
+        user.row_codes is None for user, _ in users.values()
     ):
         sizes = engine.qi_counts(enc)[:, None]
-        return {name: user.batch(enc, sizes) for name, user in users.items()}
+        return {
+            key: user.batch(enc, sizes) for key, (user, _) in users.items()
+        }
     measure = None
-    if measure_dim is not None:
+    if any(weighted):
         measure = _measure_column(table, measure_dim)
-    out = {name: np.zeros(enc.n_queries) for name in users}
-    kinds = [(user.row_codes, user.width) for user in users.values()]
-    for start, stop, histograms in engine.histograms(enc, kinds, measure):
+    out = {key: np.zeros(enc.n_queries) for key in users}
+    kinds = [(user.row_codes, user.width) for user, _ in users.values()]
+    passes = engine.histograms(enc, kinds, measure, weighted)
+    for start, stop, histograms in passes:
         block = enc.slice(start, stop)
-        for (name, user), hist in zip(users.items(), histograms):
-            out[name][start:stop] = user.batch(block, hist)
+        for (key, (user, _)), hist in zip(users.items(), histograms):
+            out[key][start:stop] = user.batch(block, hist)
     return out
 
 
@@ -849,33 +871,43 @@ def _estimate(
     artifacts,
     backend: str,
     served: dict,
-    measure_dim: int | None,
-) -> "dict[str, np.ndarray]":
-    """One pass of the answering seam: COUNT estimates, or with
-    ``measure_dim`` SUM estimates (COUNT is SUM with unit weights).
+    measures: tuple,
+) -> "dict[str, list[np.ndarray]]":
+    """One pass of the answering seam: per entry of ``measures``, COUNT
+    estimates (``None``) or SUM estimates of that measure dim — COUNT
+    is SUM with unit weights.  ``(d, None)`` are an AVG's two halves.
 
     Generalized publications go to their EC kernel.  Every other kind's
     estimate is one functional of a per-query histogram, read from the
     kind's cube when one resolves, else from the bitmap engine's
-    histogram pass, which all those kinds share (:func:`_bitmap_answers`).
+    histogram pass, which all those kinds and both halves of an AVG
+    share (:func:`_bitmap_answers`).  ``served`` gets each name's
+    backend label for the first entry.
     """
-    out: dict[str, np.ndarray] = {}
-    users: dict[str, object] = {}
+    out = {name: [None] * len(measures) for name in answerers}
+    users: dict[tuple, tuple] = {}
     for name, answerer in answerers.items():
-        if isinstance(answerer, GeneralizedAnswerer):
-            out[name] = answerer.batch(enc, measure_dim=measure_dim)
-            served[name] = "ec"
-            continue
-        cube = resolve_cube(answerer.published, artifacts, backend, measure_dim)
-        histograms = None if cube is None else cube.histograms(enc)
-        if histograms is not None:
-            out[name] = answerer.batch(enc, histograms)
-            served[name] = "cube"
-        else:
-            users[name] = answerer
-            served[name] = "bitmap"
+        for i, measure_dim in enumerate(measures):
+            if isinstance(answerer, GeneralizedAnswerer):
+                out[name][i] = answerer.batch(enc, measure_dim=measure_dim)
+                label = "ec"
+            else:
+                cube = resolve_cube(
+                    answerer.published, artifacts, backend, measure_dim
+                )
+                histograms = None if cube is None else cube.histograms(enc)
+                if histograms is not None:
+                    out[name][i] = answerer.batch(enc, histograms)
+                    label = "cube"
+                else:
+                    users[name, i] = (answerer, measure_dim is not None)
+                    label = "bitmap"
+            if i == 0:
+                served[name] = label
     if users:
-        out.update(_bitmap_answers(table, users, enc, artifacts, measure_dim))
+        answers = _bitmap_answers(table, users, enc, artifacts, measures[0])
+        for (name, i), estimates in answers.items():
+            out[name][i] = estimates
     return out
 
 
@@ -897,25 +929,25 @@ def answer_batch(
     ``(measure_dim, op)`` with ``op`` in :data:`AGGREGATE_OPS`; AVG is
     the SUM estimate ÷ the COUNT estimate (``nan`` where that is zero).
     ``served`` is filled with name → the backend label of the COUNT or
-    SUM pass.
+    SUM half.
     """
     check_backend(backend)
-    measure_dim = None
+    measures: tuple = (None,)
     if aggregate is not None:
         measure_dim, op = aggregate
         check_aggregate_op(op)
         _check_measure_dim(table, measure_dim)
+        measures = (measure_dim, None) if op == "avg" else (measure_dim,)
     enc = _encoded(table, queries, artifacts)
     answerers = _answerers(table, publications)
     if served is None:
         served = {}
     out = _estimate(
-        table, answerers, enc, artifacts, backend, served, measure_dim
+        table, answerers, enc, artifacts, backend, served, measures
     )
-    if aggregate is not None and op == "avg":
-        counts = _estimate(table, answerers, enc, artifacts, backend, {}, None)
-        out = {name: _divide(out[name], counts[name]) for name in out}
-    return {name: out[name] for name in answerers}
+    if len(measures) == 2:
+        return {name: _divide(*out[name]) for name in answerers}
+    return {name: out[name][0] for name in answerers}
 
 
 def batch_estimates(

@@ -19,13 +19,12 @@ back.  Three mechanisms make the path cheap under heavy traffic:
   entries, so the LRU bound still bounds memory;
 * **thread-pool execution** — worker threads serve different
   publications (or successive batches of one) concurrently; numpy
-  kernels release the GIL for the heavy parts.  With
-  ``executor="process"`` a process pool answers the batches instead.
+  kernels release the GIL for the heavy parts.
 
 Every batch, whatever its operation, is one call of the query layer's
-answering seam (:func:`repro.query.evaluate.answer_batch`, in this
-process or in a pool worker), which also reports the backend label
-that answered it.  Answers are **bit-identical** to calling
+answering seam (:func:`repro.query.evaluate.answer_batch`) on a serving
+thread, which also reports the backend label that answered it.
+Answers are **bit-identical** to calling
 :func:`~repro.query.evaluate.batch_estimates` /
 :func:`~repro.query.aggregates.batch_aggregate_estimates` directly:
 per-query results do not depend on how requests are grouped into
@@ -167,23 +166,13 @@ class QueryService:
             batched query engine keys mask engines / cubes in; pass
             a facade's cache to share artifacts with it, or leave None
             for a private one.
-        executor: ``"thread"`` (default) answers batches on the worker
-            threads; ``"process"`` hands each drained batch to a
-            ``workers``-process pool
-            (:class:`repro.parallel.ProcessEvaluator`) — publications
-            ship to the pool once via shared memory, and answers are
-            bit-identical to the thread path because the same answering
-            seam runs over content-equal state.
         backend: Answer-backend preference —
             ``"auto"`` (default) serves from the count cube a store
             admission attached to the publication and falls back to the
             bitmap engine, ``"cube"`` additionally builds missing cubes
             on first use, ``"bitmap"`` never consults cubes.  Estimates
             are bit-identical either way; :attr:`ServiceStats` records
-            which backend answered each batch.  The process executor
-            ships each publication's attached cube with its payload and
-            runs its workers under the same backend, so both executors
-            serve each batch the same way.
+            which backend answered each batch.
         telemetry: Optional :class:`repro.obs.Telemetry`.  When enabled,
             :attr:`stats` counts into its registry (so the service's
             counters appear in the session's metric snapshot), every
@@ -205,7 +194,6 @@ class QueryService:
         max_batch: int = 1024,
         linger_seconds: float = 0.0,
         artifact_cache=None,
-        executor: str = "thread",
         backend: str = "auto",
         telemetry=None,
     ):
@@ -213,8 +201,6 @@ class QueryService:
             raise ValueError("workers must be >= 1")
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
-        if executor not in ("thread", "process"):
-            raise ValueError("executor must be 'thread' or 'process'")
         self._backend = check_backend(backend)
         self.telemetry = coerce_telemetry(telemetry)
         if artifact_cache is None:
@@ -236,14 +222,6 @@ class QueryService:
             registry=self.telemetry.metrics if self.telemetry.enabled
             else None
         )
-
-        self._evaluator = None
-        if executor == "process":
-            from ..parallel import ProcessEvaluator
-
-            # Created before the serving threads start, so the pool's
-            # fork happens while this process is still single-threaded.
-            self._evaluator = ProcessEvaluator(workers=workers)
 
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -348,8 +326,6 @@ class QueryService:
             self._cond.notify_all()
         for thread in self._threads:
             thread.join()
-        if self._evaluator is not None:
-            self._evaluator.close()
 
     def __enter__(self) -> "QueryService":
         return self
@@ -417,8 +393,6 @@ class QueryService:
                         self._artifacts.invalidate(
                             digest=evicted.record.pub_id
                         )
-                        if self._evaluator is not None:
-                            self._evaluator.forget(evicted.record.pub_id)
                         table_digest = self._artifacts.table_key(
                             evicted.table
                         )
@@ -503,22 +477,17 @@ class QueryService:
             with span:
                 serving = self._serving(pub_id)
                 enc = EncodedWorkload.encode(serving.schema, queries)
-                if self._evaluator is not None:
-                    estimates, label = self._evaluator.answer(
-                        serving.publication, enc, aggregate, self._backend
-                    )
-                else:
-                    served: dict = {}
-                    estimates = answer_batch(
-                        serving.table,
-                        {"served": serving.answerer},
-                        enc,
-                        aggregate,
-                        artifacts=self._artifacts,
-                        backend=self._backend,
-                        served=served,
-                    )["served"]
-                    label = served["served"]
+                served: dict = {}
+                estimates = answer_batch(
+                    serving.table,
+                    {"served": serving.answerer},
+                    enc,
+                    aggregate,
+                    artifacts=self._artifacts,
+                    backend=self._backend,
+                    served=served,
+                )["served"]
+                label = served["served"]
                 span.set("backend", label)
         except BaseException as exc:  # noqa: BLE001 - forwarded to clients
             for future in futures:

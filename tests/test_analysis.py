@@ -230,6 +230,49 @@ class TestPickle001:
         )
         assert result.findings == []
 
+    def test_lambda_initializer(self, tmp_path):
+        result = lint_snippet(
+            tmp_path,
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "def run(table):\n"
+            "    return ProcessPoolExecutor(\n"
+            "        initializer=lambda: None, initargs=()\n"
+            "    )\n",
+        )
+        assert rules_hit(result) == ["PICKLE001"]
+        assert "initializer" in result.findings[0].message
+
+    def test_closure_initializer(self, tmp_path):
+        result = lint_snippet(
+            tmp_path,
+            "import concurrent.futures as cf\n"
+            "def run(table):\n"
+            "    def init():\n"
+            "        global STATE\n"
+            "        STATE = table\n"
+            "    with cf.ProcessPoolExecutor(initializer=init) as pool:\n"
+            "        return pool\n",
+        )
+        assert rules_hit(result) == ["PICKLE001"]
+        assert "locally defined function 'init'" in (
+            result.findings[0].message
+        )
+
+    def test_module_level_initializer_is_clean(self, tmp_path):
+        result = lint_snippet(
+            tmp_path,
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "from . import worker\n"
+            "def init(table):\n"
+            "    global STATE\n"
+            "    STATE = table\n"
+            "def run(table):\n"
+            "    a = ProcessPoolExecutor(initializer=init, initargs=(table,))\n"
+            "    b = ProcessPoolExecutor(initializer=worker.init_worker)\n"
+            "    return a, b\n",
+        )
+        assert result.findings == []
+
     def test_fires_in_tests_too(self, tmp_path):
         # PICKLE001 is ALL-scope: test code breaks at runtime the same.
         result = lint_snippet(

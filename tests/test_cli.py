@@ -226,6 +226,51 @@ class TestAppendCli:
         assert "refused" in capsys.readouterr().err
 
 
+class TestQueryCli:
+    def test_workers_set_threads_not_answers(self, tmp_path, capsys):
+        """``query --workers N`` sets the serving thread count; the
+        estimates written are the same at every N."""
+        import json
+
+        from repro.dataset.synthetic import synthetic
+
+        table = synthetic(
+            2_000, qi_dims=2, sa_cardinality=6, skew=0.8, seed=4,
+            correlation=0.0,
+        )
+        data = tmp_path / "data.csv"
+        _write_table_csv(table, data)
+        store = str(tmp_path / "store")
+        code = run(
+            [
+                "publish", str(data), "--store", store,
+                "--qi", "q0,q1", "--numerical", "q0,q1", "--sensitive", "sa",
+                "--algorithm", "perturb", "--beta", "2", "--seed", "3",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        pub_id = [
+            line.split("id: ", 1)[1]
+            for line in out.splitlines()
+            if line.startswith("id: ")
+        ][0]
+        payloads = []
+        for workers in ("1", "2"):
+            path = tmp_path / f"answers-{workers}.json"
+            code = run(
+                [
+                    "query", "--store", store, "--id", pub_id[:12],
+                    "--queries", "200", "--theta", "0.1",
+                    "--workers", workers, "-o", str(path),
+                ]
+            )
+            assert code == 0, capsys.readouterr()
+            payloads.append(json.loads(path.read_text()))
+        assert len(payloads[0]["estimates"]) == 200
+        assert payloads[1] == payloads[0]
+
+
 class TestLintCli:
     """``repro lint`` exit codes are CLI-conventional: 0 clean, 1
     findings, 2 usage error."""

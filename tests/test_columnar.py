@@ -98,15 +98,14 @@ def test_chain_builds_no_per_group_records(table, tmp_path, monkeypatch):
     assert len(runs["burel"].published.classes) == records["burel"].n_groups
     assert len(runs["anatomy"].published.groups) == records["anatomy"].n_groups
 
-    # get → QueryService answers (COUNT and AVG), thread and process.
-    for executor in ("thread", "process"):
-        with QueryService(store, workers=2, executor=executor) as service:
-            for name, record in records.items():
-                reloaded = store.get(record.pub_id)
-                assert publication_digest(reloaded) == record.pub_id
-                counts = service.answer(record.pub_id, queries)
-                assert np.isfinite(counts).all()
-                service.answer_aggregate(record.pub_id, queries, 0, "avg")
+    # get → QueryService answers (COUNT and AVG).
+    with QueryService(store, workers=2) as service:
+        for name, record in records.items():
+            reloaded = store.get(record.pub_id)
+            assert publication_digest(reloaded) == record.pub_id
+            counts = service.answer(record.pub_id, queries)
+            assert np.isfinite(counts).all()
+            service.answer_aggregate(record.pub_id, queries, 0, "avg")
 
     # sharded anonymize → audit → evaluate, both kinds, pooled and inline.
     for algorithm, params, workers in (

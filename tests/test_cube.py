@@ -445,6 +445,40 @@ class TestServiceBackends:
             assert "cube" not in stats["served_by_backend"]
         assert np.array_equal(from_cube, from_bitmap)
 
+    @pytest.mark.parametrize("backend", ["auto", "cube", "bitmap"])
+    def test_labels_and_fallbacks_per_backend(self, backend, tmp_path):
+        """A generalized publication is served by its EC kernel under
+        every backend, which is no cube fallback; perturbed and Anatomy
+        ones by the count cube a store admission attached, unless the
+        bitmap engine is forced."""
+        from repro.api import Dataset
+        from repro.dataset import DEFAULT_QI
+
+        table = make_census(4_000, seed=3, qi_names=DEFAULT_QI)
+        ds = Dataset(table)
+        store = PublicationStore(tmp_path)
+        runs = [
+            (ds.anonymize("burel", beta=2.0), {"beta": 2.0}),
+            (ds.anonymize("perturb", rng=29, beta=4.0), {"beta": 4.0}),
+            (ds.anonymize("anatomy", rng=1, l=4), {"l": 4}),
+        ]
+        ids = [
+            run.publish(store, requirement=requirement).pub_id
+            for run, requirement in runs
+        ]
+        queries = make_workload(table.schema, 24, 2, 0.1, rng=5)
+        with QueryService(store, workers=2, backend=backend) as service:
+            labels = []
+            for pub in ids:
+                service.answer(pub, queries)
+                labels.append(service.serving_backend(pub))
+            service.answer_aggregate(ids[0], queries, 0, "avg")
+            labels.append(service.serving_backend(ids[0]))
+            fallbacks = service.stats_snapshot()["cube_fallbacks"]
+        served = "bitmap" if backend == "bitmap" else "cube"
+        assert labels == ["ec", served, served, "ec"]
+        assert fallbacks == 0
+
     def test_fallback_counted(self, tmp_path):
         from repro.dataset.synthetic import synthetic
 

@@ -545,6 +545,40 @@ class TestHistogramPass:
         assert answerer.batch(enc, histograms).tolist() == expected
 
 
+class TestAvgOnePass:
+    """An AVG whose SUM and COUNT both fall to the bitmap engine takes
+    both from one histogram pass."""
+
+    def test_one_pass_matches_scalar_oracle(
+        self, census_small, workload, monkeypatch
+    ):
+        publications = _histogram_publications(census_small, 5)
+        answerers = {
+            name: make_answerer(pub) for name, pub in publications.items()
+        }
+        passes = []
+        histograms = TableMaskEngine.histograms
+
+        def counted(engine, *args, **kwargs):
+            passes.append(len(args[1]))
+            return histograms(engine, *args, **kwargs)
+
+        monkeypatch.setattr(TableMaskEngine, "histograms", counted)
+        for dim in range(census_small.schema.n_qi):
+            passes.clear()
+            got = answer_batch(
+                census_small, answerers, workload, (dim, "avg"),
+                backend="bitmap",
+            )
+            # One pass, one weighted and one counted kind per estimator.
+            assert passes == [2 * len(answerers)]
+            for name, answerer in answerers.items():
+                expected = _scalar(answerer, workload, (dim, "avg"))
+                assert np.array_equal(
+                    got[name], expected, equal_nan=True
+                ), (name, dim)
+
+
 class TestHistogramPassMemory:
     """tracemalloc ceilings of the bitmap regime's COUNT and AVG, with
     the mask engine and answerers prebuilt in a session cache."""

@@ -5,11 +5,18 @@ counts (the parallel layer's core contract)."""
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api import ArtifactCache, Dataset
 from repro.core.retrieve import qi_space_keys
 from repro.dataset import (
@@ -19,23 +26,13 @@ from repro.dataset import (
     zipf_distribution,
 )
 from repro.engine.batch import EngineJob, PreparedTable, run_many
+from repro.engine.shard import merge_pieces
 from repro.io import publication_digest, table_digest
-from repro.parallel import (
-    ProcessEvaluator,
-    ShardPlan,
-    ShardedSession,
-    ShmArrays,
-    load_table,
-    sweep_jobs,
-)
-from repro.query.evaluate import (
-    TableMaskEngine,
-    _encoded,
-    batch_estimates,
-)
+from repro.parallel import ShardPlan, ShardedSession, _worker, sweep_jobs
+from repro.query.evaluate import TableMaskEngine, _encoded
 from repro.query.workload import make_workload
 from repro.rng import spawn_generators, spawn_seeds
-from repro.service import PublicationStore, QueryService
+from repro.service import PublicationStore
 
 
 @pytest.fixture(scope="module")
@@ -294,36 +291,6 @@ class TestPickleRoundTrips:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory transport
-# ----------------------------------------------------------------------
-
-
-class TestShm:
-    def test_table_round_trip(self, table):
-        keys = qi_space_keys(table)
-        with ShmArrays() as shm:
-            handle = shm.share_table(table, keys)
-            clone, keys_back = load_table(handle)
-            assert table_digest(clone) == table_digest(table)
-            np.testing.assert_array_equal(keys_back, keys)
-            rows = np.array([5, 17, 99])
-            part, keys_part = load_table(handle, rows)
-            np.testing.assert_array_equal(part.qi, table.qi[rows])
-            np.testing.assert_array_equal(keys_part, keys[rows])
-
-    def test_close_unlinks(self, table):
-        shm = ShmArrays()
-        handle = shm.share(table.sa)
-        shm.close()
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=handle.name)
-        with pytest.raises(RuntimeError):
-            shm.share(table.sa)
-
-
-# ----------------------------------------------------------------------
 # Shard-merge byte-identity (the tentpole contract)
 # ----------------------------------------------------------------------
 
@@ -471,112 +438,110 @@ class TestFacadeSharding:
 
 
 # ----------------------------------------------------------------------
-# Process-pool serving
+# Pool transport: workers take their inputs at start-up
 # ----------------------------------------------------------------------
 
 
-class TestProcessServing:
-    def test_evaluator_matches_batch_estimates(self, dataset, workload):
-        run = dataset.anonymize("burel", beta=2.0)
-        enc = dataset.encode(workload)
-        expected = batch_estimates(
-            dataset.table, {"x": run.published}, enc
-        )["x"]
-        evaluator = ProcessEvaluator(workers=2)
-        try:
-            np.testing.assert_array_equal(
-                evaluator.estimates(run.published, enc), expected
-            )
-            # second call exercises the worker-side memo path
-            np.testing.assert_array_equal(
-                evaluator.estimates(run.published, enc), expected
-            )
-        finally:
-            evaluator.close()
+class TestPoolTransport:
+    def test_spawn_pool_matches_serial(self):
+        """A spawn-context pool pickles the start-up state once per
+        worker instead of inheriting it; the merged publication is the
+        serial session's."""
+        census = make_census(6_000, seed=3)
+        serial = _sharded(census, 1, 3)
+        expected = serial.anonymize("burel", beta=2.0, seed=7)
+        plan = serial.plan
+        seeds = spawn_seeds(7, plan.n_shards)
+        with ProcessPoolExecutor(
+            max_workers=2,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_worker.init_worker,
+            initargs=(census, serial._keys, [s.rows for s in plan]),
+        ) as pool:
+            futures = [
+                pool.submit(
+                    _worker.run_task, _worker.shard_anonymize, False, i,
+                    i, plan.n_shards, "burel", {"beta": 2.0}, seeds[i],
+                    serial._probs,
+                )
+                for i in range(plan.n_shards)
+            ]
+            pieces = [future.result(timeout=120)[0] for future in futures]
+        merged = merge_pieces(
+            census,
+            [piece.lift(shard.rows) for shard, piece in zip(plan, pieces)],
+        )
+        assert publication_digest(merged) == (
+            publication_digest(expected.published)
+        )
 
-    def test_service_process_mode_identical(
-        self, dataset, workload, tmp_path
-    ):
-        run = dataset.anonymize("burel", beta=2.0)
-        store = PublicationStore(tmp_path, cache=dataset.cache)
-        record = run.publish(store, requirement={"beta": 2.0})
-        with QueryService(store) as threaded:
-            expected = threaded.answer(record.pub_id, workload)
-        with QueryService(
-            store, workers=2, executor="process"
-        ) as pooled:
-            np.testing.assert_array_equal(
-                pooled.answer(record.pub_id, workload), expected
-            )
+    def test_pooled_session_starts_no_resource_tracker(self):
+        """The transport needs no shared memory, so nothing starts
+        multiprocessing's resource tracker.  A fresh interpreter, so the
+        test process's own tracker state is untouched."""
+        script = (
+            "from multiprocessing import resource_tracker\n"
+            "from repro.dataset import synthetic\n"
+            "from repro.engine.batch import EngineJob\n"
+            "from repro.parallel import ShardedSession\n"
+            "from repro.query import make_workload\n"
+            "table = synthetic(2_000, qi_dims=3, sa_cardinality=8,\n"
+            "                  skew=0.8, seed=3, correlation=0.0)\n"
+            "queries = make_workload(table.schema, 20, 2, 0.1, rng=5)\n"
+            "with ShardedSession(table, workers=2, shards=2) as session:\n"
+            "    run = session.anonymize('burel', beta=2.0)\n"
+            "    session.evaluate(run, queries)\n"
+            "    session.sweep([EngineJob('burel', {'beta': 2.0})])\n"
+            "print(resource_tracker._resource_tracker._pid)\n"
+        )
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, check=True, env=env,
+        )
+        assert proc.stdout.split() == ["None"]
 
-    def test_process_mode_labels_ec(self, dataset, workload, tmp_path):
-        """The pool reports the backend that answered: a generalized
-        publication is served by its EC kernel, which is no cube
-        fallback."""
-        run = dataset.anonymize("burel", beta=2.0)
-        store = PublicationStore(tmp_path, cache=dataset.cache)
-        record = run.publish(store, requirement={"beta": 2.0})
-        with QueryService(store, workers=2, executor="process") as pooled:
-            pooled.answer(record.pub_id, workload)
-            assert pooled.serving_backend(record.pub_id) == "ec"
-            pooled.answer_aggregate(record.pub_id, workload, 0, "avg")
-            assert pooled.serving_backend(record.pub_id) == "ec"
-            stats = pooled.stats_snapshot()
-        assert stats["cube_fallbacks"] == 0
-        assert set(stats["served_by_backend"]) == {"ec"}
 
-    @pytest.mark.parametrize("backend", ["auto", "cube", "bitmap"])
-    def test_process_mode_serves_like_thread_mode(self, backend, tmp_path):
-        """Workers get the count cube a store load attached and run under
-        the service's backend, so answers, backend labels and cube
-        fallbacks equal the thread path's."""
-        from repro.dataset.census import DEFAULT_QI
+# ----------------------------------------------------------------------
+# A killed worker: rebuild the pool once, then raise
+# ----------------------------------------------------------------------
 
-        table = make_census(4_000, seed=3, qi_names=DEFAULT_QI)
-        ds = Dataset(table)
-        store = PublicationStore(tmp_path)
-        ids = [
-            ds.anonymize("perturb", rng=29, beta=4.0).publish(
-                store, requirement={"beta": 4.0}
-            ).pub_id,
-            ds.anonymize("anatomy", rng=1, l=4).publish(
-                store, requirement={"l": 4}
-            ).pub_id,
-        ]
-        queries = make_workload(table.schema, 24, 2, 0.1, rng=5)
 
-        def serve(executor):
-            with QueryService(
-                store, workers=2, executor=executor, backend=backend
-            ) as service:
-                answers = [service.answer(pub, queries) for pub in ids]
-                labels = [service.serving_backend(pub) for pub in ids]
-                fallbacks = service.stats_snapshot()["cube_fallbacks"]
-            return answers, labels, fallbacks
+def _die(table, keys, index):
+    os._exit(1)
 
-        threaded, pooled = serve("thread"), serve("process")
-        for expected, actual in zip(threaded[0], pooled[0]):
-            np.testing.assert_array_equal(actual, expected)
-        assert pooled[1:] == threaded[1:]
-        expected_label = "bitmap" if backend == "bitmap" else "cube"
-        assert threaded[1:] == ([expected_label] * 2, 0)
 
-    @pytest.mark.skipif(
-        multiprocessing.get_context().get_start_method() != "fork",
-        reason="only a fork-context pool forks its workers at first submit",
-    )
-    def test_workers_forked_at_construction(self):
-        """Workers fork before `QueryService` starts its serving threads:
-        one forked later, while another thread holds the resource
-        tracker's lock, deadlocks at its first shared-memory attach."""
-        before = set(multiprocessing.active_children())
-        evaluator = ProcessEvaluator(workers=2)
-        try:
-            assert len(set(multiprocessing.active_children()) - before) == 2
-        finally:
-            evaluator.close()
+def _die_once(table, keys, index, marker):
+    """Kill this worker unless another task already made ``marker``."""
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return index, table_digest(table), int(keys.sum())
+    os._exit(1)
 
-    def test_executor_validated(self, tmp_path):
-        store = PublicationStore(tmp_path)
-        with pytest.raises(ValueError, match="executor"):
-            QueryService(store, executor="greenlet")
+
+class TestBrokenPool:
+    @pytest.fixture()
+    def census(self):
+        return make_census(3_000, seed=3)
+
+    def test_die_once_returns_serial_results(self, census, tmp_path):
+        marker = str(tmp_path / "died")
+        with _sharded(census, 2, 3) as session:
+            pooled = session._map(_die_once, [(marker,)] * 3)
+        assert os.path.exists(marker)
+        serial = _sharded(census, 1, 3)._map(_die_once, [(marker,)] * 3)
+        assert pooled == serial
+
+    def test_session_recovers_after_a_second_break(self, census):
+        expected = _sharded(census, 1, 3).anonymize("burel", beta=2.0)
+        with _sharded(census, 2, 3) as session:
+            with pytest.raises(BrokenProcessPool):
+                session._map(_die, [()] * 3)
+            run = session.anonymize("burel", beta=2.0)
+        assert publication_digest(run.published) == (
+            publication_digest(expected.published)
+        )
