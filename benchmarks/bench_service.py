@@ -45,9 +45,10 @@ import numpy as np
 
 from _obs import telemetry_block
 from repro.anonymity import BaselinePublication
+from repro.api import Dataset
 from repro.dataset import CENSUS_QI_ORDER, make_census
 from repro.query import make_answerer, make_workload
-from repro.service import PublicationStore, QueryService, publish_run
+from repro.service import PublicationStore, QueryService
 
 LAMBDA = 3
 THETA = 0.1
@@ -57,14 +58,15 @@ QUERY_SEED = 13
 def build_store(table, root) -> "dict[str, str]":
     """Admit the four publication kinds; returns kind -> pub id."""
     store = PublicationStore(root)
-    _, generalized = publish_run(
-        store, "burel", table, requirement={"beta": 2.0}, beta=2.0
+    ds = Dataset(table)
+    generalized = ds.anonymize("burel", beta=2.0).publish(
+        store, requirement={"beta": 2.0}
     )
-    _, perturbed = publish_run(
-        store, "perturb", table, requirement={"beta": 4.0}, rng=29, beta=4.0
+    perturbed = ds.anonymize("perturb", rng=29, beta=4.0).publish(
+        store, requirement={"beta": 4.0}
     )
-    _, anatomy = publish_run(
-        store, "anatomy", table, requirement={"l": 4}, rng=1, l=4
+    anatomy = ds.anonymize("anatomy", rng=1, l=4).publish(
+        store, requirement={"l": 4}
     )
     baseline = store.put(
         BaselinePublication(table), requirement={"beta": 2.0}

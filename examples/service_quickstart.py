@@ -20,14 +20,10 @@ import tempfile
 
 import numpy as np
 
+from repro.api import Dataset
 from repro.dataset import make_census
 from repro.query import batch_estimates, make_workload
-from repro.service import (
-    CertificationError,
-    PublicationStore,
-    QueryService,
-    publish_run,
-)
+from repro.service import CertificationError, PublicationStore, QueryService
 
 
 def main() -> None:
@@ -39,12 +35,11 @@ def main() -> None:
 
         # 1. Publish: anonymize, certify against the declared contract,
         #    persist losslessly under the content digest.
-        result, record = publish_run(
-            store, "burel", table, requirement={"beta": 2.0}, beta=2.0
-        )
+        run = Dataset(table).anonymize("burel", beta=2.0)
+        record = run.publish(store, requirement={"beta": 2.0})
         print(f"admitted {record.kind} publication {record.pub_id[:12]}… "
               f"({record.n_groups} ECs, engine ran "
-              f"{result.elapsed_seconds:.3f}s)")
+              f"{run.elapsed_seconds:.3f}s)")
         print(f"certified privacy: beta="
               f"{record.audit['privacy']['beta']:.4f} "
               f"<= declared {record.requirement['beta']}")
@@ -52,9 +47,7 @@ def main() -> None:
         # 2. The gate refuses contracts the publication does not honor:
         #    nothing is written for a failed admission.
         try:
-            publish_run(
-                store, "burel", table, requirement={"beta": 0.1}, beta=2.0
-            )
+            run.publish(store, requirement={"beta": 0.1})
         except CertificationError as exc:
             print(f"refused as expected: {exc}")
 
@@ -69,7 +62,7 @@ def main() -> None:
 
         # Bit-identity with the direct evaluation path.
         direct = batch_estimates(
-            table, {"burel": result.published}, workload
+            table, {"burel": run.published}, workload
         )["burel"]
         assert np.array_equal(estimates, direct)
         print("served answers are bit-identical to direct evaluation")

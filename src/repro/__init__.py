@@ -54,7 +54,7 @@ from .metrics import (
     measured_t,
     privacy_profile,
 )
-from .service import PublicationStore, QueryService, publish_run
+from .service import PublicationStore, QueryService
 
 __version__ = "1.0.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "service",
     "PublicationStore",
     "QueryService",
-    "publish_run",
     "BetaLikeness",
     "BurelResult",
     "PerturbationScheme",

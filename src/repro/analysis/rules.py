@@ -15,6 +15,7 @@ CACHE001  ArtifactCache keys built from object identity (``id(...)``)
 CACHE002  identity-keyed memos (weak registries, ``__dict__`` writes)
 DET001    iteration over sets feeding ordered output
 RANGE001  raw ``.sa_range`` reads in the query layer outside its clipper
+SHARD001  shards anonymized (``run_shard``) outside the parallel layer
 SUP001    suppression comments without a reason (meta-rule)
 ========= ============================================================
 
@@ -735,6 +736,42 @@ class Range001(Rule):
                     "raw SA range read in the query layer; clip it with "
                     "repro.query.workload.sa_bounds so every estimator "
                     "agrees on overhanging and empty ranges",
+                )
+
+
+# ---------------------------------------------------------------------------
+# SHARD001
+# ---------------------------------------------------------------------------
+
+
+@register_rule
+class Shard001(Rule):
+    """Only the parallel layer anonymizes shards.
+
+    A refresh loop once re-implemented the shard runner, with its own
+    seed spawning and error wrapping, and its equality with the cold run
+    rested on the two loops staying in step.  Every shard now runs
+    through ``ShardedSession.shard_pieces``, so a ``run_shard(...)``
+    call in library code outside ``repro/parallel/`` is a second runner.
+    """
+
+    rule_id = "SHARD001"
+    title = "shard anonymized outside the parallel layer"
+    scope = LIBRARY
+    exclude = ("repro/parallel/",)
+
+    def check(self, module, project) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            dotted = module.resolve(node.func) or ""
+            if dotted.rpartition(".")[2] == "run_shard":
+                yield self.finding(
+                    module,
+                    node,
+                    "shard anonymized outside the parallel layer; use "
+                    "ShardedSession.shard_pieces so every shard runs "
+                    "through one runner",
                 )
 
 

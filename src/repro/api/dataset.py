@@ -436,6 +436,7 @@ class Dataset:
         ``workers``; the shard count itself shapes the publication,
         since groups form within key ranges).  ``rng`` must then be an
         int seed (or None): per-shard generators are spawned from it.
+        The run is then a :class:`repro.parallel.ShardedRun`.
         """
         if workers is not None or shards is not None:
             if rng is not None and not isinstance(rng, int):
@@ -577,7 +578,10 @@ class AnonymizationRun:
     Wraps the engine's :class:`~repro.engine.pipeline.RunResult` and the
     owning :class:`Dataset`, so downstream steps share the session's
     artifact cache — the run's audit view, for example, is the same
-    object its certification and its store admission use.
+    object its certification and its store admission use.  Sharded
+    (:class:`repro.parallel.ShardedRun`) and refreshed
+    (:class:`repro.api.versioned.RefreshRun`) runs are subclasses, so
+    :meth:`publish` is the one way any run enters a store.
     """
 
     def __init__(

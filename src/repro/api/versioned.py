@@ -20,9 +20,13 @@ new rows to shards by Hilbert-key interval
 (:meth:`repro.parallel.ShardPlan.diff`), evicts exactly the touched
 shards' artifacts, and seeds the concatenated table's Hilbert keys and
 SA distribution from the cached baseline arrays.  A refresh then
-re-runs the engine only on dirty shards and concatenates cached and
-recomputed pieces into the whole-table publication; its audit view is
-built from that publication like any other.  The lineage keeps one
+re-anonymizes only the shards whose pieces are gone, through the
+sharded session's own shard runner
+(:meth:`repro.parallel.ShardedSession.shard_pieces`) on an inline
+session over the lineage's plan and pinned ``P`` — the very code its
+cold comparator runs — and concatenates cached and recomputed pieces
+into the whole-table publication; its audit view is built from that
+publication like any other.  The lineage keeps one
 version's artifacts: an append drops the entries keyed by the old table
 content, and a refresh drops those keyed by the superseded publication
 (its audit view, which would also pin the old table).
@@ -40,10 +44,10 @@ adversary).  Byte-identity is asserted against a cold sharded run over
 the concatenated table using the same diffed plan and the same pinned
 ``P`` — the exact computation the refresh is claiming to shortcut.
 
-Per-shard randomness keeps the PR 6 contract: shard ``i`` always draws
-from child ``i`` of ``SeedSequence(seed)``, and ``ShardPlan.diff`` never
-changes the shard count, so dirty-shard recomputes consume exactly the
-stream the baseline run would have.
+Per-shard randomness follows the shard runner's contract: shard ``i``
+always draws from child ``i`` of ``SeedSequence(seed)``, and
+``ShardPlan.diff`` never changes the shard count, so dirty-shard
+recomputes consume exactly the stream the baseline run would have.
 """
 
 from __future__ import annotations
@@ -55,10 +59,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..engine.pipeline import STAGES, RunResult
-from ..engine.shard import merge_pieces, run_shard, shard_error
-from ..parallel.plan import ShardPlan
-from ..rng import spawn_seeds
+from ..engine.pipeline import RunResult
+from ..engine.shard import merge_pieces, merge_stage_seconds
+from ..parallel import ShardPlan, ShardedSession
 from .dataset import AnonymizationRun
 
 
@@ -185,22 +188,18 @@ class RefreshRun(AnonymizationRun):
         self.recomputed = recomputed
         self.version = version
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RefreshRun(v{self.version}, {len(self.reused)} reused, "
-            f"{len(self.recomputed)} recomputed)"
-        )
-
 
 def refresh_state(dataset, state: VersionState) -> RefreshRun:
     """Re-anonymize a versioned dataset incrementally.
 
     Clean shards come straight from the cache (``get_or_build`` hits);
-    dirty — or LRU-evicted — shards re-run the engine over their (now
-    extended) row sets with the pinned baseline ``P`` and their original
-    per-shard seed stream.  The merged publication re-validates the row
-    partition in its constructor; its audit view, built on first use,
-    measures against the **current** table's true distribution.
+    dirty — or LRU-evicted — shards are rebuilt by
+    :meth:`~repro.parallel.ShardedSession.shard_pieces` on an inline
+    session over the lineage's (now extended) plan, with the pinned
+    baseline ``P`` and the original per-shard seed stream.  The merged
+    publication re-validates the row partition in its constructor; its
+    audit view, built on first use, measures against the **current**
+    table's true distribution.
     """
     start = time.perf_counter()
     table, cache, plan = dataset.table, dataset.cache, state.plan
@@ -209,39 +208,25 @@ def refresh_state(dataset, state: VersionState) -> RefreshRun:
             f"lineage plan covers {plan.n_rows} rows but the table has "
             f"{table.n_rows}; append() is the only supported mutation"
         )
-    keys = dataset.hilbert_keys()
-    seeds = (
-        spawn_seeds(state.seed, plan.n_shards)
-        if state.seed is not None
-        else [None] * plan.n_shards
+    session = ShardedSession(
+        table, cache=cache, plan=plan, sa_distribution=state.sa_distribution,
+        telemetry=dataset.telemetry(),
     )
     recomputed: list[int] = []
-    pieces = []
-    for i, shard in enumerate(plan):
-        def build(shard=shard, i=i):
-            recomputed.append(i)
-            rng = (
-                np.random.default_rng(seeds[i])
-                if seeds[i] is not None
-                else None
-            )
-            try:
-                piece = run_shard(
-                    state.algorithm,
-                    table.subset(shard.rows),
-                    keys=keys[shard.rows],
-                    sa_distribution=state.sa_distribution,
-                    rng=rng,
-                    telemetry=dataset.telemetry(),
-                    **state.params,
-                )
-            except ValueError as exc:
-                raise shard_error(
-                    exc, i, plan.n_shards, shard.rows.shape[0]
-                ) from exc
-            return piece.lift(shard.rows)
 
-        pieces.append(cache.get_or_build(state.shard_key(i), build))
+    def build(i: int):
+        recomputed.append(i)
+        (piece,) = session.shard_pieces(
+            state.algorithm, [i], seed=state.seed, **state.params
+        )
+        return piece.lift(plan.shards[i].rows)
+
+    pieces = [
+        cache.get_or_build(state.shard_key(i), lambda i=i: build(i))
+        for i in range(plan.n_shards)
+    ]
+    # The session memoizes its shard slices; let them go before merging.
+    session = None
     reused = tuple(i for i in range(plan.n_shards) if i not in recomputed)
     published = merge_pieces(table, pieces)
     key = cache.publication_key(published)
@@ -251,13 +236,6 @@ def refresh_state(dataset, state: VersionState) -> RefreshRun:
 
     state.dirty.clear()
     state.version += 1
-    stage_seconds: dict[str, float] = {}
-    for i in recomputed:
-        for name in STAGES:
-            if name in pieces[i].stage_seconds:
-                stage_seconds[name] = stage_seconds.get(name, 0.0) + float(
-                    pieces[i].stage_seconds[name]
-                )
     provenance = {
         "incremental": {
             "token": state.token,
@@ -274,7 +252,7 @@ def refresh_state(dataset, state: VersionState) -> RefreshRun:
         algorithm=state.algorithm,
         published=published,
         params=dict(state.params),
-        stage_seconds=stage_seconds,
+        stage_seconds=merge_stage_seconds([pieces[i] for i in recomputed]),
         provenance=provenance,
         elapsed_seconds=time.perf_counter() - start,
     )

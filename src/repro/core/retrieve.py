@@ -59,10 +59,6 @@ def row_buckets(table: Table, partition: BucketPartition) -> np.ndarray:
     return row_bucket
 
 
-#: Backward-compatible alias (pre-engine name).
-_row_buckets = row_buckets
-
-
 def qi_space_keys(table: Table) -> np.ndarray:
     """Hilbert keys of all tuples in normalized QI-space.
 

@@ -13,6 +13,8 @@ picks concrete tuples, and ``publish`` assembles the output format.  Not
 every algorithm has every stage (Mondrian has no allocation; perturbation
 has no partition); adapters declare the stages they use and the engine
 times each one, so per-stage provenance is comparable across algorithms.
+A run ends with its :class:`RunResult`; store admission is the next
+step, :meth:`repro.api.AnonymizationRun.publish`.
 """
 
 from __future__ import annotations
@@ -114,16 +116,9 @@ class Pipeline:
         params: Mapping[str, Any],
         rng: np.random.Generator | None = None,
         shared: Any = None,
-        sink: Callable[[RunResult], None] | None = None,
         telemetry: "Telemetry | None" = None,
     ) -> RunResult:
         """Execute the stages in order, one span per stage.
-
-        ``sink``, when given, receives the finished :class:`RunResult`
-        right after the publish stage — the hook the
-        :mod:`repro.service` publication store uses to certify and
-        persist runs (a sink that raises aborts the run, so nothing is
-        returned for a publication the sink refused).
 
         ``telemetry``, when given and enabled, receives the run's spans
         (``engine.run`` wrapping one ``engine.<stage>`` per executed
@@ -155,7 +150,7 @@ class Pipeline:
             raise RuntimeError(
                 f"pipeline {self.algorithm!r} finished without publishing"
             )
-        result = RunResult(
+        return RunResult(
             algorithm=self.algorithm,
             published=ctx.published,
             params=ctx.params,
@@ -163,6 +158,3 @@ class Pipeline:
             provenance=ctx.provenance,
             elapsed_seconds=elapsed,
         )
-        if sink is not None:
-            sink(result)
-        return result

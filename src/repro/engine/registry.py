@@ -4,12 +4,14 @@ An :class:`Anonymizer` packages an algorithm's default parameters and
 its staged pipeline.  Implementations register themselves with
 :func:`register`, after which ``engine.run(name, table, **params)``
 dispatches uniformly — the CLI, experiments and benchmarks all share
-this single dispatch layer instead of hand-wiring imports.
+this single dispatch layer instead of hand-wiring imports.  A run only
+anonymizes: store admission goes through
+:meth:`repro.api.AnonymizationRun.publish`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Protocol, runtime_checkable
+from typing import Any, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -78,7 +80,6 @@ def run(
     *,
     rng: np.random.Generator | int | None = None,
     shared: Any = None,
-    sink: Callable[[RunResult], None] | None = None,
     telemetry=None,
     **params: Any,
 ) -> RunResult:
@@ -91,9 +92,6 @@ def run(
             deterministic behaviour, an int seed, or a generator.
         shared: Optional :class:`~repro.engine.batch.PreparedTable` with
             precomputed per-table artifacts (see :func:`~repro.engine.batch.run_many`).
-        sink: Optional hook receiving the :class:`RunResult` right after
-            the publish stage (the :mod:`repro.service` store admission
-            path).
         telemetry: Optional :class:`repro.obs.Telemetry` receiving the
             run's per-stage spans (see :meth:`Pipeline.run`).
         **params: Algorithm parameters; unknown names are rejected.
@@ -116,6 +114,6 @@ def run(
     merged = {**algo.defaults, **params}
     pipeline = Pipeline(name, algo.stages())
     return pipeline.run(
-        table, merged, rng=_resolve_rng(rng), shared=shared, sink=sink,
+        table, merged, rng=_resolve_rng(rng), shared=shared,
         telemetry=telemetry,
     )

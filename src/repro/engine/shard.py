@@ -1,14 +1,14 @@
 """Shard-scoped engine entry points: prepare, run, merge.
 
 The engine's public :func:`repro.engine.run` anonymizes a whole table;
-the parallel layer and the incremental-republication layer both
-anonymize *one contiguous Hilbert-key shard at a time* and assemble
-whole-table publications from the per-shard results.  This module is
-the single home of that shard-scoped contract, so the process-pool
-worker (:mod:`repro.parallel._worker`), the serial merge
-(:class:`repro.parallel.ShardedSession`) and the versioned refresh path
-(:mod:`repro.api.versioned`) all produce byte-identical pieces through
-one code path.
+the parallel layer anonymizes *one contiguous Hilbert-key shard at a
+time* and assembles whole-table publications from the per-shard
+results.  This module is the home of that shard-scoped contract.  In
+the library its one caller is the parallel layer's task function
+(:func:`repro.parallel._worker.shard_anonymize`), which every sharded
+run reaches through :meth:`repro.parallel.ShardedSession.shard_pieces`
+— pooled or inline, cold or as a versioned refresh's dirty shards — so
+every piece comes out of one code path.
 
 A :class:`ShardPiece` is a shard's publication in its columnar form —
 member rows, group offsets and (for generalizations) boxes, never the
@@ -31,6 +31,7 @@ from ..anonymity.anatomy import AnatomyTable
 from ..dataset.published import GeneralizedTable, group_offsets
 from ..dataset.table import Table
 from .batch import PreparedTable
+from .pipeline import STAGES
 from .registry import run as engine_run
 
 
@@ -58,10 +59,6 @@ class ShardPiece:
     params: dict
     stage_seconds: dict = field(default_factory=dict)
     elapsed_seconds: float = 0.0
-
-    @property
-    def n_groups(self) -> int:
-        return self.offsets.shape[0] - 1
 
     def lift(self, rows: np.ndarray) -> "ShardPiece":
         """This piece with member rows mapped through ``rows``, the
@@ -98,17 +95,6 @@ def prepare_shard(
     prepared._keys = keys
     prepared._sa_distribution = sa_distribution
     return prepared
-
-
-def shard_error(
-    exc: ValueError, index: int, n_shards: int, n_rows: int
-) -> ValueError:
-    """``exc`` restated for the shard that raised it.
-
-    The algorithms word their errors for the table they were given, so a
-    shard's failure would otherwise read as the whole table's.
-    """
-    return ValueError(f"shard {index} of {n_shards} ({n_rows} rows): {exc}")
 
 
 def run_shard(
@@ -159,6 +145,17 @@ def run_shard(
         stage_seconds=result.stage_seconds,
         elapsed_seconds=time.perf_counter() - start,
     )
+
+
+def merge_stage_seconds(pieces: "list[ShardPiece]") -> dict:
+    """Per-stage totals across shard pieces, in canonical stage order."""
+    merged: dict[str, float] = {}
+    for name in STAGES:
+        total = [p.stage_seconds[name] for p in pieces
+                 if name in p.stage_seconds]
+        if total:
+            merged[name] = float(sum(total))
+    return merged
 
 
 def merge_pieces(table: Table, pieces: "list[ShardPiece]"):

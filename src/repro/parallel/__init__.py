@@ -14,9 +14,9 @@ only its shard.
 
 Entry points:
 
-* :class:`ShardedSession` / :class:`ShardedRun` — the session object and
-  its merged-run handle (``anonymize`` → ``audit`` / ``evaluate`` /
-  ``publish``).
+* :class:`ShardedSession` / :class:`ShardedRun` — the session object
+  (``shard_pieces`` is the one shard runner) and its merged run, an
+  :class:`~repro.api.AnonymizationRun` folding per-shard answers.
 * :func:`sweep_jobs` — job-level parallelism for parameter sweeps (one
   whole-table engine run per process).
 * :class:`ShardPlan` / :class:`Shard` — the pure partition planner.

@@ -18,21 +18,21 @@ Shards are anonymized and evaluated here; the audit is not: a merged
 publication already carries its membership and SA histograms, so the
 parent builds its audit view directly.  Shard publications travel back
 as columnar :class:`~repro.engine.shard.ShardPiece` arrays.
-
-Serving artifacts (mask engines, encoded workloads) live in a
-process-local :class:`repro.api.ArtifactCache` keyed by the very same
-content digests the parent uses, so a worker builds each once per
-process, no matter how tasks are scheduled.
+Evaluation artifacts (mask engines, encoded workloads, precise answers)
+live in the :class:`ShardSource`'s own :class:`repro.api.ArtifactCache`,
+so they last as long as their source: a pool worker's for the worker's
+life, the inline fallback's for its session's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..api.cache import ArtifactCache
 from ..dataset.table import Table
 from ..engine.batch import PreparedTable
 from ..engine.registry import run as engine_run
-from ..engine.shard import ShardPiece, run_shard, shard_error
+from ..engine.shard import ShardPiece, run_shard
 from ..query.evaluate import answer_precise_batch, batch_estimates
 from ..query.workload import EncodedWorkload
 
@@ -46,12 +46,15 @@ class ShardSource:
 
     :meth:`shard` slices a shard's ``(table, keys)`` on first use and
     memoizes it per shard index, so a process pays each slice once.
+    :attr:`cache` holds the evaluation artifacts of those slices for as
+    long as the source lives.
     """
 
     def __init__(self, table: Table, keys: np.ndarray, shard_rows):
         self.table = table
         self.keys = keys
         self.shard_rows = shard_rows
+        self.cache = ArtifactCache()
         self._shards: dict[int, tuple] = {}
 
     def shard(self, index: "int | None") -> "tuple[Table, np.ndarray]":
@@ -69,9 +72,6 @@ class ShardSource:
 #: This pool worker's start-up state (see :func:`init_worker`).
 _SOURCE: "ShardSource | None" = None
 
-#: lazily created process-local ArtifactCache (mask engines, cubes, ...)
-_CACHE = None
-
 
 def init_worker(table: Table, keys: np.ndarray, shard_rows) -> None:
     """Pool initializer: keep the session's inputs for every task."""
@@ -79,16 +79,7 @@ def init_worker(table: Table, keys: np.ndarray, shard_rows) -> None:
     _SOURCE = ShardSource(table, keys, shard_rows)
 
 
-def _artifact_cache():
-    global _CACHE
-    if _CACHE is None:
-        from ..api.cache import ArtifactCache
-
-        _CACHE = ArtifactCache()
-    return _CACHE
-
-
-def traced_task(fn, enabled: bool, *args):
+def traced_task(fn, enabled: bool, *args, **kwargs):
     """Run one task function, buffering its telemetry when enabled.
 
     The transport half of cross-process tracing: with telemetry enabled
@@ -101,26 +92,32 @@ def traced_task(fn, enabled: bool, *args):
     None)``), identical for pooled and serial execution.
     """
     if not enabled:
-        return fn(*args), None
+        return fn(*args, **kwargs), None
     from ..obs import Telemetry
 
     telemetry = Telemetry()
-    result = fn(*args, telemetry=telemetry)
+    result = fn(*args, telemetry=telemetry, **kwargs)
     return result, {
         "spans": telemetry.tracer.export(),
         "metrics": telemetry.metrics.export(),
     }
 
 
-def run_task(fn, enabled: bool, shard, *args, source=None):
+def run_task(
+    fn, enabled: bool, shard, *args, source=None, artifacts: bool = False
+):
     """``fn(table, keys, *args)`` over one shard (``None``: the whole
     table) of ``source``, through :func:`traced_task`.
 
     Pool workers leave ``source`` unset and read their start-up state;
     the serial fallback passes the session's own :class:`ShardSource`.
+    With ``artifacts``, ``fn`` also receives the source's
+    :attr:`ShardSource.cache` as ``artifacts=``.
     """
-    table, keys = (_SOURCE if source is None else source).shard(shard)
-    return traced_task(fn, enabled, table, keys, *args)
+    source = _SOURCE if source is None else source
+    table, keys = source.shard(shard)
+    kwargs = {"artifacts": source.cache} if artifacts else {}
+    return traced_task(fn, enabled, table, keys, *args, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +144,8 @@ def shard_anonymize(
     itself — so the transfer back to the parent is a few percent of the
     table size.
     A shard the algorithm cannot anonymize raises a ``ValueError`` that
-    names the shard, chained to the algorithm's own.
+    names the shard, chained to the algorithm's own (worded for the
+    table it was given, which would read as the whole table's).
     """
     rng = np.random.default_rng(seed_seq) if seed_seq is not None else None
     try:
@@ -161,7 +159,9 @@ def shard_anonymize(
             **params,
         )
     except ValueError as exc:
-        raise shard_error(exc, shard_index, n_shards, table.n_rows) from exc
+        raise ValueError(
+            f"shard {shard_index} of {n_shards} ({table.n_rows} rows): {exc}"
+        ) from exc
 
 
 # ----------------------------------------------------------------------
@@ -175,6 +175,7 @@ def shard_evaluate(
     shard_index: int,
     piece: "ShardPiece | None",
     enc: EncodedWorkload,
+    artifacts=None,
     telemetry=None,
 ) -> dict:
     """Precise COUNTs (and estimates, if a shard-local piece is given)
@@ -182,24 +183,23 @@ def shard_evaluate(
 
     Ranges partition by rows, so per-query precise counts and estimator
     sums are additive across shards; the parent folds them in shard
-    order.  Mask engines and encoded workloads come from the
-    process-local artifact cache, keyed by the shard table's content
+    order.  Mask engines and encoded workloads come from ``artifacts``
+    (the shard source's cache), keyed by the shard table's content
     digest.
     """
     from ..obs import coerce_telemetry
 
-    cache = _artifact_cache()
     with coerce_telemetry(telemetry).span(
         "shard.evaluate", rows=table.n_rows, queries=enc.n_queries
     ):
         out = {
             "shard": shard_index,
-            "precise": answer_precise_batch(table, enc, artifacts=cache),
+            "precise": answer_precise_batch(table, enc, artifacts=artifacts),
         }
         if piece is not None:
             publication = piece.publication(table)
             out["estimates"] = batch_estimates(
-                table, {"shard": publication}, enc, artifacts=cache
+                table, {"shard": publication}, enc, artifacts=artifacts
             )["shard"]
         return out
 

@@ -11,6 +11,9 @@ shard.  The audit runs in the parent: the
 merged publication already carries its membership and SA histograms,
 so its view costs no shard work.
 
+Shards are anonymized in one place, :meth:`ShardedSession.shard_pieces`,
+for a cold run and a versioned refresh alike.
+
 The merge is **scheduling-independent**: results are collected per
 shard index and folded in ascending shard order, per-shard randomness
 comes from :func:`repro.rng.spawn_seeds` (a pure function of the root
@@ -37,46 +40,28 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
-from ..audit.evaluate import AuditReport, audit_publications
-from ..audit.view import PublicationView, publication_view
+from ..api.dataset import AnonymizationRun, Dataset
 from ..dataset.table import Table
-from ..engine.batch import EngineJob, PreparedTable
-from ..engine.pipeline import STAGES, RunResult
-from ..engine.shard import ShardPiece, merge_pieces
+from ..engine.batch import EngineJob
+from ..engine.pipeline import RunResult
+from ..engine.shard import ShardPiece, merge_pieces, merge_stage_seconds
 from ..metrics.errors import ErrorProfile, error_profile
-from ..obs import coerce_telemetry
 from ..query.workload import EncodedWorkload
 from ..rng import spawn_seeds
 from . import _worker
 from .plan import ShardPlan
 
 
-def _merge_stage_seconds(pieces) -> dict:
-    """Per-stage totals across shards, in canonical stage order."""
-    merged: dict[str, float] = {}
-    for name in STAGES:
-        total = [p.stage_seconds[name] for p in pieces
-                 if name in p.stage_seconds]
-        if total:
-            merged[name] = float(sum(total))
-    return merged
-
-
-class ShardedRun:
-    """One merged sharded anonymization: the whole-table publication plus
-    the shard-local pieces later stages (evaluate, refresh) reuse.
-
-    Mirrors the result surface of
-    :class:`~repro.api.dataset.AnonymizationRun` (``published``,
-    ``audit()``, ``evaluate()``, ``publish()``), so facade callers can
-    treat sharded and single-process runs uniformly.
-    """
+class ShardedRun(AnonymizationRun):
+    """One merged sharded anonymization: an :class:`AnonymizationRun`
+    over the session's :attr:`~ShardedSession.dataset` (so ``view``,
+    ``audit``, ``certify`` and ``publish`` are the unsharded run's),
+    plus the shard-local pieces that sharded evaluation reuses."""
 
     def __init__(self, session: "ShardedSession", result: RunResult,
                  pieces: "list[ShardPiece]", seed: "int | None" = None):
+        super().__init__(session.dataset, result, seed=seed)
         self.session = session
-        self.result = result
-        self.seed = seed
         #: Per shard, the :class:`repro.engine.shard.ShardPiece` its
         #: pipeline produced (rows local to the shard); sharded
         #: evaluation ships them back to the workers, and the versioned
@@ -84,84 +69,14 @@ class ShardedRun:
         #: them as per-shard cache artifacts.
         self._pieces = pieces
 
-    # -- result passthroughs (AnonymizationRun-compatible) -------------
-
-    @property
-    def published(self):
-        return self.result.published
-
-    @property
-    def algorithm(self) -> str:
-        return self.result.algorithm
-
-    @property
-    def params(self) -> dict:
-        return self.result.params
-
-    @property
-    def provenance(self) -> dict:
-        return self.result.provenance
-
-    @property
-    def stage_seconds(self) -> dict:
-        return self.result.stage_seconds
-
-    @property
-    def elapsed_seconds(self) -> float:
-        return self.result.elapsed_seconds
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShardedRun({self.algorithm!r}, "
-            f"{self.session.plan.n_shards} shards, "
-            f"{type(self.published).__name__})"
-        )
-
-    # -- the chain ------------------------------------------------------
-
-    def view(self) -> PublicationView:
-        """The merged publication's audit view (session-cached)."""
-        return publication_view(self.published, cache=self.session.cache)
-
-    def audit(self, **kwargs) -> AuditReport:
-        """Audit the merged publication."""
-        return self.session.audit(self, **kwargs)
-
     def evaluate(self, queries) -> ErrorProfile:
-        """COUNT-workload error of the merged publication."""
+        """COUNT-workload error of the merged publication, folded shard
+        by shard (see :meth:`ShardedSession.answers`)."""
         return self.session.evaluate(self, queries)
-
-    def certify(self, requirement, *, ordered_emd: bool = False) -> dict:
-        """Check the merged publication against a privacy contract."""
-        from ..service.store import certify_publication
-
-        return certify_publication(
-            self.published, requirement, ordered_emd=ordered_emd,
-            cache=self.session.cache,
-        )
-
-    def publish(self, store, *, requirement, ordered_emd: bool = False,
-                name: "str | None" = None, parent=None):
-        """Certify and admit the merged publication to a store.
-
-        ``name`` and ``parent`` thread version lineage into the store
-        manifest (see :meth:`repro.service.PublicationStore.put`).
-        """
-        return store.put(
-            self.published,
-            requirement=requirement,
-            algorithm=self.algorithm,
-            params=self.params,
-            seed=self.seed,
-            ordered_emd=ordered_emd,
-            cache=self.session.cache,
-            name=name,
-            parent=parent,
-        )
 
 
 class ShardedSession:
-    """Sharded execution over one table: anonymize, audit, evaluate.
+    """Sharded execution over one table: anonymize and evaluate.
 
     Args:
         table: The source microdata.
@@ -171,7 +86,9 @@ class ShardedSession:
         shards: Partition size; defaults to ``workers`` (so ``workers=1``
             is the unsharded degenerate case).  May exceed ``workers``.
         cache: Optional :class:`repro.api.ArtifactCache` shared with a
-            facade; a private one is created by default.
+            facade; a private one is created by default.  Runs are built
+            over :attr:`dataset`, which wraps the table, cache and
+            telemetry.
         plan: Optional pre-built :class:`ShardPlan` over this table —
             the incremental-refresh comparator passes the appended
             (diffed) plan here so a cold run groups rows in exactly the
@@ -213,15 +130,12 @@ class ShardedSession:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if cache is None:
-            from ..api.cache import ArtifactCache
-
-            cache = ArtifactCache()
+        self.dataset = Dataset(table, cache=cache, telemetry=telemetry)
         self.table = table
         self.workers = workers
-        self.cache = cache
-        self.telemetry = coerce_telemetry(telemetry)
-        prepared = PreparedTable(table, cache=cache)
+        self.cache = self.dataset.cache
+        self.telemetry = self.dataset.telemetry()
+        prepared = self.dataset.prepared()
         self._keys = prepared.hilbert_keys()
         self._probs = prepared.sa_distribution()
         self._anon_probs = (
@@ -267,14 +181,17 @@ class ShardedSession:
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    def _pooled(self, fn, enabled: bool, tasks) -> list:
+    def _pooled(self, fn, enabled: bool, tasks, artifacts: bool) -> list:
         """Every task's ``run_task`` result from the pool, in order;
         a broken pool is rebuilt and the fan-out rerun once."""
         for retry in (True, False):
             pool = self._ensure_pool()
             try:
                 futures = [
-                    pool.submit(_worker.run_task, fn, enabled, shard, *args)
+                    pool.submit(
+                        _worker.run_task, fn, enabled, shard, *args,
+                        artifacts=artifacts,
+                    )
                     for shard, args in tasks
                 ]
                 return [future.result() for future in futures]
@@ -283,35 +200,44 @@ class ShardedSession:
                 if not retry:
                     raise
 
-    def _fan_out(self, fn, tasks, span_name: str, label: str, **attrs):
+    def _fan_out(
+        self, fn, tasks, span_name: str, label: str, *,
+        artifacts: bool = False, **attrs,
+    ):
         """Run ``fn(table, keys, *args)`` per ``(shard, args)`` task.
 
         ``shard`` is a shard index, or ``None`` for the whole table.
         Tasks run inline when ``workers == 1``, else in the pool;
-        results come back in task order either way.  Each goes through
+        results come back in task order either way (``artifacts``: see
+        :func:`repro.parallel._worker.run_task`).  Each goes through
         :func:`repro.parallel._worker.traced_task` — a pass-through when
         telemetry is disabled; with it enabled, the task runs under a
         worker-local tracer whose span/metric buffers ship back with the
         result and are adopted in task order under the fan-out span,
-        tagged ``label=i``, so the session trace is identical at any
-        worker count.
+        tagged ``label=`` the shard index (whole-table tasks: their
+        position), so the session trace is identical at any worker
+        count.
         """
         tel = self.telemetry
         with tel.span(span_name, **attrs, workers=self.workers) as parent:
             if self.workers == 1:
                 wrapped = [
                     _worker.run_task(
-                        fn, tel.enabled, shard, *args, source=self._source
+                        fn, tel.enabled, shard, *args, source=self._source,
+                        artifacts=artifacts,
                     )
                     for shard, args in tasks
                 ]
             else:
-                wrapped = self._pooled(fn, tel.enabled, tasks)
+                wrapped = self._pooled(fn, tel.enabled, tasks, artifacts)
             results = []
-            for i, (result, payload) in enumerate(wrapped):
+            for i, ((shard, _), (result, payload)) in enumerate(
+                zip(tasks, wrapped)
+            ):
                 if payload is not None:
                     tel.adopt_spans(
-                        payload["spans"], parent=parent, **{label: i}
+                        payload["spans"], parent=parent,
+                        **{label: i if shard is None else shard},
                     )
                     tel.merge_metrics(payload["metrics"])
                 results.append(result)
@@ -322,6 +248,8 @@ class ShardedSession:
         fn,
         per_shard_extra: "list[tuple]",
         span_name: str = "parallel.map",
+        *,
+        artifacts: bool = False,
     ) -> list:
         """Run ``fn(table, keys, i, *extra_i)`` over each shard ``i``."""
         return self._fan_out(
@@ -329,6 +257,7 @@ class ShardedSession:
             [(i, (i, *extra)) for i, extra in enumerate(per_shard_extra)],
             span_name,
             "shard",
+            artifacts=artifacts,
             shards=self.plan.n_shards,
         )
 
@@ -349,32 +278,43 @@ class ShardedSession:
     # Anonymization
     # ------------------------------------------------------------------
 
+    def shard_pieces(
+        self, algorithm: str, shards, *, seed: "int | None" = None, **params
+    ) -> "list[ShardPiece]":
+        """Anonymize the listed shards; one shard-local piece each.
+
+        The one shard runner: :meth:`anonymize` calls it for every
+        shard, a versioned refresh for the shards whose cached pieces
+        are gone.  Shard ``i`` draws from child ``i`` of
+        ``SeedSequence(seed)`` whatever else is listed or however it is
+        scheduled.  Only group-based formats can be sharded; the
+        workers refuse ``perturb``.
+        """
+        n_shards = self.plan.n_shards
+        seeds = (
+            spawn_seeds(seed, n_shards)
+            if seed is not None
+            else [None] * n_shards
+        )
+        tasks = [
+            (i, (i, n_shards, algorithm, dict(params), seeds[i],
+                 self._anon_probs))
+            for i in shards
+        ]
+        return self._fan_out(
+            _worker.shard_anonymize, tasks, "parallel.anonymize", "shard",
+            shards=len(tasks),
+        )
+
     def anonymize(
         self, algorithm: str, *, seed: "int | None" = None, **params
     ) -> ShardedRun:
-        """Anonymize every shard and merge into a whole-table publication.
-
-        ``seed`` follows the per-shard rng contract: shard ``i`` draws
-        from child ``i`` of ``SeedSequence(seed)``, so results are
-        independent of worker scheduling.  Only group-based output
-        formats (generalization schemes, Anatomy) can be sharded;
-        ``perturb`` — a whole-table format — is refused by the workers.
-        """
+        """Anonymize every shard and merge into a whole-table publication
+        (see :meth:`shard_pieces` for the seed contract)."""
         plan = self.plan
-        seeds = (
-            spawn_seeds(seed, plan.n_shards)
-            if seed is not None
-            else [None] * plan.n_shards
-        )
         start = time.perf_counter()
-        pieces = self._map(
-            _worker.shard_anonymize,
-            [
-                (plan.n_shards, algorithm, dict(params), seeds[i],
-                 self._anon_probs)
-                for i in range(plan.n_shards)
-            ],
-            span_name="parallel.anonymize",
+        pieces = self.shard_pieces(
+            algorithm, range(plan.n_shards), seed=seed, **params
         )
         # The publication constructor re-validates the exact row
         # partition of the lifted pieces — the merge's cheapest full
@@ -404,38 +344,11 @@ class ShardedSession:
             algorithm=algorithm,
             published=published,
             params=pieces[0].params,
-            stage_seconds=_merge_stage_seconds(pieces),
+            stage_seconds=merge_stage_seconds(pieces),
             provenance=provenance,
             elapsed_seconds=time.perf_counter() - start,
         )
         return ShardedRun(self, result, pieces, seed=seed)
-
-    # ------------------------------------------------------------------
-    # Audit
-    # ------------------------------------------------------------------
-
-    def audit(
-        self,
-        run: ShardedRun,
-        *,
-        attacks=(),
-        ordered_emd: bool = False,
-        **kwargs,
-    ) -> AuditReport:
-        """Audit a sharded run's merged publication.
-
-        The merged publication carries its membership and SA
-        histograms, so the audit runs in the parent through the
-        standard entry point, on the session-cached view.
-        """
-        return audit_publications(
-            self.table,
-            {"run": run.published},
-            attacks=attacks,
-            ordered_emd=ordered_emd,
-            cache=self.cache,
-            **kwargs,
-        )["run"]
 
     # ------------------------------------------------------------------
     # Workload evaluation
@@ -458,6 +371,7 @@ class ShardedSession:
             _worker.shard_evaluate,
             [(None, enc)] * self.plan.n_shards,
             span_name="parallel.precise",
+            artifacts=True,
         )
         return np.sum([res["precise"] for res in results], axis=0)
 
@@ -476,6 +390,7 @@ class ShardedSession:
             _worker.shard_evaluate,
             [(piece, enc) for piece in run._pieces],
             span_name="parallel.evaluate",
+            artifacts=True,
         )
         precise = np.sum([res["precise"] for res in results], axis=0)
         estimates = np.zeros(enc.n_queries)

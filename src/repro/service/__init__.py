@@ -19,11 +19,12 @@ engines:
 
 Quickstart::
 
-    from repro.service import PublicationStore, QueryService, publish_run
+    from repro.api import Dataset
+    from repro.service import PublicationStore, QueryService
 
     store = PublicationStore("pubs/")
-    result, record = publish_run(
-        store, "burel", table, requirement={"beta": 2.0}
+    record = Dataset(table).anonymize("burel", beta=2.0).publish(
+        store, requirement={"beta": 2.0}
     )
     with QueryService(store) as service:
         estimates = service.answer(record.pub_id, workload)
@@ -35,7 +36,6 @@ from .store import (
     PublicationRecord,
     PublicationStore,
     certify_publication,
-    publish_run,
 )
 
 __all__ = [
@@ -44,5 +44,4 @@ __all__ = [
     "PublicationStore",
     "QueryService",
     "certify_publication",
-    "publish_run",
 ]

@@ -157,11 +157,6 @@ class QueryService:
             bitmap index.
         max_batch: Upper bound on queries drained into one encoded
             micro-batch.
-        linger_seconds: How long a worker waits after finding a
-            non-empty queue before draining it, letting concurrent
-            submitters coalesce into one batch (0 drains immediately;
-            under sustained load batches fill while workers are busy,
-            so the linger mainly helps bursty low-load traffic).
         artifact_cache: Optional :class:`repro.api.ArtifactCache` the
             batched query engine keys mask engines / cubes in; pass
             a facade's cache to share artifacts with it, or leave None
@@ -192,7 +187,6 @@ class QueryService:
         workers: int = 2,
         cache_size: int = 8,
         max_batch: int = 1024,
-        linger_seconds: float = 0.0,
         artifact_cache=None,
         backend: str = "auto",
         telemetry=None,
@@ -212,7 +206,6 @@ class QueryService:
         self._artifacts = artifact_cache
         self._store = store
         self._max_batch = max_batch
-        self._linger = linger_seconds
         self._cache_size = cache_size
         self._cache: "OrderedDict[str, _Serving]" = OrderedDict()
         self._aliases: dict[str, str] = {}  # prefix id -> canonical id
@@ -435,8 +428,6 @@ class QueryService:
             with self._cond:
                 while not self._pending and not self._closed:
                     self._cond.wait()
-                if self._linger > 0 and self._pending and not self._closed:
-                    self._cond.wait(self._linger)
                 taken = self._take_batch()
                 if taken is None:
                     if self._closed:
@@ -444,6 +435,8 @@ class QueryService:
                     continue
             (pub_id, aggregate), batch = taken
             self._answer_batch(pub_id, aggregate, batch)
+            # Idle without the answered batch: its futures hold results.
+            taken = batch = None
 
     def serving_backend(self, pub_id: str) -> "str | None":
         """Backend label that answered ``pub_id``'s most recent batch

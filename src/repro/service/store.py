@@ -10,6 +10,9 @@ batched audit layer against the publication's *declared* requirement —
 β-likeness, t-closeness, or ℓ-diversity — and **raises**
 :class:`CertificationError` when the measured privacy violates it, so
 the store only ever serves publications that honor their contract.
+Engine runs of every kind are admitted one way,
+:meth:`repro.api.AnonymizationRun.publish`, which calls :meth:`put`
+with the run's provenance.
 
 Store layout::
 
@@ -28,7 +31,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -38,7 +41,6 @@ from ..audit.view import publication_view
 from ..core.model import BetaLikeness
 from ..core.perturb import PerturbationScheme, PerturbedTable
 from ..dataset.published import GroupedPublication
-from ..dataset.table import Table
 from ..io import (
     content_digest,
     publication_from_payload,
@@ -545,95 +547,3 @@ class PublicationStore:
         if cube_meta is not None:
             published._count_cube = CountCube.from_payload(cube_meta, arrays)
         return published
-
-    # ------------------------------------------------------------------
-    # Engine integration
-    # ------------------------------------------------------------------
-
-    def sink(
-        self,
-        requirement: Mapping[str, Any],
-        *,
-        seed: int | None = None,
-        ordered_emd: bool = False,
-        cache=None,
-    ) -> "StoreSink":
-        """A pipeline sink admitting each run's publication to the store.
-
-        Pass the returned object as ``engine.run(..., sink=...)``; it
-        records every admitted :class:`PublicationRecord` in
-        ``sink.records``.
-        """
-        return StoreSink(
-            self, requirement, seed=seed, ordered_emd=ordered_emd, cache=cache
-        )
-
-
-class StoreSink:
-    """Callable hook wiring ``engine.Pipeline`` runs into a store."""
-
-    def __init__(
-        self,
-        store: PublicationStore,
-        requirement: Mapping[str, Any],
-        *,
-        seed: int | None = None,
-        ordered_emd: bool = False,
-        cache=None,
-    ):
-        self.store = store
-        self.requirement = dict(requirement)
-        self.seed = seed
-        self.ordered_emd = ordered_emd
-        self.cache = cache
-        self.records: list[PublicationRecord] = []
-
-    def __call__(self, result) -> None:
-        self.records.append(
-            self.store.put(
-                result.published,
-                requirement=self.requirement,
-                algorithm=result.algorithm,
-                params=result.params,
-                seed=self.seed,
-                ordered_emd=self.ordered_emd,
-                cache=self.cache,
-            )
-        )
-
-
-def publish_run(
-    store: PublicationStore,
-    algorithm: str,
-    table: Table,
-    *,
-    requirement: Mapping[str, Any],
-    rng: "np.random.Generator | int | None" = None,
-    ordered_emd: bool = False,
-    cache=None,
-    **params: Any,
-):
-    """Run an engine algorithm and admit its publication to the store.
-
-    The anonymize → certify → persist path in one call, implemented via
-    the engine's publish sink so provenance (algorithm, resolved params,
-    seed) flows from the run itself.  (The fluent spelling of the same
-    chain is ``Dataset(table).anonymize(...).publish(store, ...)``.)
-
-    Returns:
-        ``(RunResult, PublicationRecord)``.
-
-    Raises:
-        CertificationError: The run's publication failed its contract
-            (nothing is stored).
-    """
-    from ..engine import run as engine_run
-
-    sink = store.sink(
-        requirement,
-        seed=rng if isinstance(rng, int) else None,
-        ordered_emd=ordered_emd,
-        cache=cache,
-    )
-    result = engine_run(algorithm, table, rng=rng, sink=sink, **params)
-    return result, sink.records[0]

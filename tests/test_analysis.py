@@ -436,6 +436,65 @@ class TestRange001:
 
 
 # ---------------------------------------------------------------------------
+# SHARD001: one shard runner
+# ---------------------------------------------------------------------------
+
+
+class TestShard001:
+    LOOP = (
+        "from ..engine.shard import run_shard\n"
+        "def refresh(table, plan, keys, probs):\n"
+        "    return [\n"
+        "        run_shard('burel', table.subset(s.rows), keys=keys[s.rows],\n"
+        "                  sa_distribution=probs)\n"
+        "        for s in plan\n"
+        "    ]\n"
+    )
+
+    def test_second_shard_runner_outside_parallel(self, tmp_path):
+        result = lint_snippet(
+            tmp_path, self.LOOP, name="repro/api/versioned.py"
+        )
+        assert rules_hit(result) == ["SHARD001"]
+        assert result.findings[0].line == 4
+        assert result.findings[0].function == "refresh"
+
+    def test_module_attribute_call(self, tmp_path):
+        result = lint_snippet(
+            tmp_path,
+            "from repro.engine import shard\n"
+            "def one(table, keys, probs):\n"
+            "    return shard.run_shard('burel', table, keys=keys,\n"
+            "                           sa_distribution=probs)\n",
+            name="repro/experiments/sharded.py",
+        )
+        assert rules_hit(result) == ["SHARD001"]
+
+    def test_parallel_layer_owns_the_runner(self, tmp_path):
+        result = lint_snippet(
+            tmp_path, self.LOOP, name="repro/parallel/_worker.py"
+        )
+        assert result.findings == []
+
+    def test_session_runner_and_import_are_clean(self, tmp_path):
+        result = lint_snippet(
+            tmp_path,
+            "from ..engine.shard import merge_pieces, run_shard\n"
+            "__all__ = ['run_shard']\n"
+            "def refresh(session, shards):\n"
+            "    return session.shard_pieces('burel', shards, seed=7)\n",
+            name="repro/api/versioned.py",
+        )
+        assert result.findings == []
+
+    def test_tests_may_call_it(self, tmp_path):
+        result = lint_snippet(
+            tmp_path, self.LOOP, name="tests/test_shard.py"
+        )
+        assert result.findings == []
+
+
+# ---------------------------------------------------------------------------
 # CACHE002: identity-keyed memos
 # ---------------------------------------------------------------------------
 
@@ -771,6 +830,7 @@ class TestReporting:
             "CACHE002",
             "DET001",
             "RANGE001",
+            "SHARD001",
             "SUP001",
         ):
             assert rule_id in listing

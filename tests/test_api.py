@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.anonymity import BaselinePublication
 from repro.api import ArtifactCache, Dataset
@@ -154,9 +156,12 @@ class TestByteIdentity:
     def test_publish_records_run_provenance(self, dataset, runs, tmp_path):
         store = PublicationStore(tmp_path / "prov")
         record = runs["anatomy"].publish(store, requirement={"l": 4})
+        assert record.kind == "anatomy"
         assert record.algorithm == "anatomy"
         assert record.seed == 1
         assert record.params["l"] == 4
+        assert record.n_groups == len(runs["anatomy"].published.groups)
+        assert store.record(record.pub_id).pub_id == record.pub_id
 
     def test_certification_gate_still_refuses(self, dataset, runs):
         with pytest.raises(CertificationError):
@@ -411,6 +416,106 @@ def _clustered_delta(table, plan, shard_index, k, seed):
     from repro.dataset.table import Table
 
     return Table(table.schema, table.qi[pick], sa)
+
+
+#: Lineage configurations: (algorithm, params, seed).
+LINEAGES = {
+    "burel-seeded": ("burel", {"beta": 2.0}, 17),
+    "burel-deterministic": ("burel", {"beta": 2.0}, None),
+    "anatomy": ("anatomy", {"l": 3}, 5),
+}
+
+
+def _lineage(rows, table_seed, variant, shards, max_bytes):
+    """A sharded baseline over a small synthetic table."""
+    from repro.dataset.synthetic import synthetic
+
+    algorithm, params, seed = LINEAGES[variant]
+    table = synthetic(
+        rows, qi_dims=3, sa_cardinality=8, skew=0.5, seed=table_seed,
+        correlation=0.0,
+    )
+    ds = Dataset(table, cache=ArtifactCache(max_bytes=max_bytes))
+    ds.anonymize(algorithm, rng=seed, shards=shards, **params)
+    return ds
+
+
+def _cold_run(ds, variant, state, pinned):
+    """The from-scratch sharded run a refresh claims to equal."""
+    from repro.parallel import ShardedSession
+
+    algorithm, params, seed = LINEAGES[variant]
+    session = ShardedSession(
+        ds.table, plan=state.plan, sa_distribution=pinned,
+        cache=ArtifactCache(),
+    )
+    return session.anonymize(algorithm, seed=seed, **params)
+
+
+class TestGeneratedLineages:
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        rows=st.integers(600, 1_500),
+        table_seed=st.integers(0, 40),
+        variant=st.sampled_from(sorted(LINEAGES)),
+        shards=st.integers(2, 6),
+        max_bytes=st.sampled_from([None, 30_000]),
+        appends=st.lists(
+            st.tuples(
+                st.integers(0, 5), st.integers(1, 200), st.integers(0, 999)
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @example(
+        rows=1_500, table_seed=3, variant="burel-seeded", shards=6,
+        max_bytes=30_000, appends=[(0, 50, 1)],
+    )
+    def test_refresh_equals_cold_run(
+        self, rows, table_seed, variant, shards, max_bytes, appends
+    ):
+        """Every refresh of a generated lineage equals the cold run over
+        the lineage's plan and pinned P: digest and audit.  Its reused
+        and recomputed shards partition the plan, and every dirty shard
+        is recomputed — with an unbounded cache and with one small
+        enough to evict clean pieces."""
+        ds = _lineage(rows, table_seed, variant, shards, max_bytes)
+        state = ds.version_state()
+        pinned = state.sa_distribution.copy()
+        for shard, k, delta_seed in appends:
+            ds.append(
+                _clustered_delta(
+                    ds.table, state.plan, shard % shards, k, delta_seed
+                )
+            )
+            dirty = set(state.dirty)
+            run = ds.refresh()
+            assert sorted(run.reused + run.recomputed) == list(range(shards))
+            assert dirty <= set(run.recomputed)
+            cold = _cold_run(ds, variant, state, pinned)
+            assert publication_digest(run.published) == (
+                publication_digest(cold.published)
+            )
+            assert run.audit() == cold.audit()
+
+    def test_evicted_clean_pieces_are_recomputed(self):
+        """A byte budget below the lineage's pieces evicts clean ones;
+        the refresh rebuilds them through the same shard runner."""
+        ds = _lineage(1_500, 3, "burel-seeded", 6, 30_000)
+        state = ds.version_state()
+        pinned = state.sa_distribution.copy()
+        ds.append(_clustered_delta(ds.table, state.plan, 0, 50, 1))
+        run = ds.refresh()
+        assert set(run.recomputed) > {0}
+        cold = _cold_run(ds, "burel-seeded", state, pinned)
+        assert publication_digest(run.published) == (
+            publication_digest(cold.published)
+        )
 
 
 class TestVersionedDataset:

@@ -222,10 +222,10 @@ class TestDisabled:
             assert service.telemetry is NULL_TELEMETRY
             service.answer(record.pub_id, workload)  # warm every cache
             tracemalloc.start()
-            # One traced round so the steady-state population (the worker
-            # thread's last-batch locals hold ~2x batch_size futures that
-            # are *replaced* each round) exists in the before snapshot —
-            # otherwise its replacement shows up as spurious growth.
+            # One traced round so the allocator's steady state exists in
+            # the before snapshot.  The worker drops each batch once it
+            # is answered, so no round's futures outlive it (see
+            # test_answered_batch_is_not_retained).
             service.answer(record.pub_id, workload)
             gc.collect()
             before = tracemalloc.take_snapshot()
@@ -243,6 +243,36 @@ class TestDisabled:
         # catch anything that buffers per request (40 queries x 5 rounds
         # of spans/observations would dwarf this bound).
         assert growth < 16_384, f"serve hot path grew by {growth} bytes"
+
+    def test_answered_batch_is_not_retained(self, table, workload,
+                                            tmp_path):
+        """An idle serving thread holds no answered batch: 40 queries
+        after a 1-query round leave no growth.  (A worker that kept its
+        last batch alive held all 40 resolved futures here, so the
+        test above depended on how its submits split into batches.)"""
+        result = engine_run("burel", table, beta=2.0)
+        store = PublicationStore(tmp_path / "store")
+        record = store.put(
+            result.published, requirement={"beta": 2.0},
+            algorithm="burel", params=result.params,
+        )
+        assert len(workload) == 40
+        with QueryService(store, workers=1) as service:
+            service.answer(record.pub_id, workload)  # warm every cache
+            tracemalloc.start()
+            service.answer(record.pub_id, workload[:1])
+            gc.collect()
+            before = tracemalloc.take_snapshot()
+            service.answer(record.pub_id, workload)
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+            tracemalloc.stop()
+        growth = sum(
+            stat.size_diff
+            for stat in after.compare_to(before, "filename")
+            if "tracemalloc" not in (stat.traceback[0].filename or "")
+        )
+        assert growth < 16_384, f"answered batch kept {growth} bytes"
 
     def test_disabled_byte_identity_sharded(self, table):
         tel = Telemetry(enabled=True)

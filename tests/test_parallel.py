@@ -4,11 +4,13 @@ counts (the parallel layer's core contract)."""
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.api import ArtifactCache, Dataset
+from repro.api import AnonymizationRun, ArtifactCache, Dataset
 from repro.core.retrieve import qi_space_keys
 from repro.dataset import (
     make_census,
@@ -28,7 +30,13 @@ from repro.dataset import (
 from repro.engine.batch import EngineJob, PreparedTable, run_many
 from repro.engine.shard import merge_pieces
 from repro.io import publication_digest, table_digest
-from repro.parallel import ShardPlan, ShardedSession, _worker, sweep_jobs
+from repro.parallel import (
+    ShardPlan,
+    ShardedRun,
+    ShardedSession,
+    _worker,
+    sweep_jobs,
+)
 from repro.query.evaluate import TableMaskEngine, _encoded
 from repro.query.workload import make_workload
 from repro.rng import spawn_generators, spawn_seeds
@@ -435,6 +443,100 @@ class TestFacadeSharding:
         record = run.publish(store, requirement={"beta": 2.0})
         assert record.pub_id == publication_digest(run.published)
         dataset.close_parallel()
+
+
+# ----------------------------------------------------------------------
+# One run type: a sharded run is an AnonymizationRun
+# ----------------------------------------------------------------------
+
+
+class TestOneRunType:
+    def test_sharded_run_is_an_anonymization_run(self, table, tmp_path):
+        """Only ``evaluate`` is the sharded run's own; its audit, view
+        and store admission are an unsharded run's over the merged
+        publication."""
+        with Dataset(table) as ds:
+            run = ds.anonymize("burel", beta=2.0, rng=7, shards=3)
+        assert isinstance(run, AnonymizationRun)
+        assert {
+            name for name in vars(ShardedRun) if not name.startswith("__")
+        } == {"evaluate"}
+        assert not hasattr(ShardedSession, "audit")
+        plain = AnonymizationRun(Dataset(table), run.result, seed=run.seed)
+        sharded_report, plain_report = (
+            r.audit(attacks=("skewness", "naive_bayes")) for r in (run, plain)
+        )
+        assert sharded_report.privacy == plain_report.privacy
+        assert sharded_report.risk == plain_report.risk
+        assert sharded_report.skewness == plain_report.skewness
+        np.testing.assert_array_equal(
+            sharded_report.naive_bayes.predictions,
+            plain_report.naive_bayes.predictions,
+        )
+        sharded_view, plain_view = run.view(), plain.view()
+        for name in ("class_of", "counts", "sizes", "boxes",
+                     "global_distribution"):
+            np.testing.assert_array_equal(
+                getattr(sharded_view, name), getattr(plain_view, name)
+            )
+        sharded_record, plain_record = (
+            r.publish(
+                PublicationStore(tmp_path / label), requirement={"beta": 2.0},
+                name="census",
+            )
+            for label, r in (("sharded", run), ("plain", plain))
+        )
+        assert sharded_record == plain_record
+        assert (sharded_record.algorithm, sharded_record.seed) == ("burel", 7)
+
+
+# ----------------------------------------------------------------------
+# Shard artifacts live as long as their shard source
+# ----------------------------------------------------------------------
+
+
+class TestShardSourceCache:
+    def test_closed_sessions_leave_no_shard_artifacts(self):
+        """Inline sharded evaluation keeps per-shard engines in the
+        session's shard source, so a closed, dropped session leaves no
+        shard table (which every cached mask engine holds) behind."""
+        refs = []
+        for seed in (1, 2, 3):
+            table = synthetic(
+                3_000, qi_dims=3, sa_cardinality=8, skew=0.8, seed=seed,
+                correlation=0.0,
+            )
+            queries = make_workload(table.schema, 50, 2, 0.1, rng=seed)
+            with Dataset(table) as ds:
+                run = ds.anonymize("burel", beta=2.0, shards=3)
+                run.evaluate(queries)
+                source = run.session._source
+                refs += [weakref.ref(source.shard(i)[0]) for i in range(3)]
+            del ds, run, source
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_second_answers_reuses_shard_engines(self, table, workload):
+        session = _sharded(table, 1, 3)
+        run = session.anonymize("burel", beta=2.0)
+        session.answers(run, workload)
+        cache = session._source.cache
+        engines = {
+            key: cache.get(key)
+            for key in cache.keys() if key[0] == "mask_engine"
+        }
+        assert len(engines) == 3
+        hits = cache.stats()["hits"]
+        other = make_workload(table.schema, 30, 2, 0.1, rng=99)
+        precise, _ = session.answers(run, other)
+        assert {
+            key for key in cache.keys() if key[0] == "mask_engine"
+        } == set(engines)
+        assert all(cache.get(key) is engine for key, engine in engines.items())
+        assert cache.stats()["hits"] - hits >= 3
+        np.testing.assert_array_equal(
+            precise, Dataset(table).precise(other)
+        )
 
 
 # ----------------------------------------------------------------------

@@ -9,15 +9,14 @@ import numpy as np
 import pytest
 
 from repro.anonymity import BaselinePublication, anatomize
+from repro.api import Dataset
 from repro.core import burel, perturb_table
-from repro.engine import run as engine_run
 from repro.query import batch_estimates, evaluate_workload, make_workload
 from repro.service import (
     CertificationError,
     PublicationStore,
     QueryService,
     certify_publication,
-    publish_run,
 )
 
 
@@ -325,29 +324,18 @@ class TestCertificationGate:
         assert manifest["requirement"] == {"beta": 2.0}
 
 
-class TestEngineHook:
-    def test_pipeline_sink_receives_result(self, table):
-        seen = []
-        result = engine_run("burel", table, beta=2.0, sink=seen.append)
-        assert seen == [result]
-
-    def test_publish_run_records_provenance(self, store, table):
-        result, record = publish_run(
-            store, "anatomy", table, requirement={"l": 4}, rng=1, l=4
-        )
-        assert record.kind == "anatomy"
-        assert record.algorithm == "anatomy"
-        assert record.params["l"] == 4
-        assert record.seed == 1
-        assert record.n_groups == len(result.published.groups)
-        assert store.record(record.pub_id).pub_id == record.pub_id
-
-    def test_publish_run_refusal_stores_nothing(self, store, table):
-        with pytest.raises(CertificationError):
-            publish_run(
-                store, "burel", table, requirement={"beta": 0.01}, beta=2.0
-            )
+class TestRunAdmission:
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_refused_publish_stores_nothing(self, store, table, shards):
+        """``run.publish`` is the one admission path; a run whose
+        publication fails its contract leaves the store untouched."""
+        with Dataset(table) as ds:
+            run = ds.anonymize("burel", beta=2.0, shards=shards)
+            with pytest.raises(CertificationError):
+                run.publish(store, requirement={"beta": 0.01}, name="v")
         assert store.ids() == []
+        assert store.versions("v") == []
+        assert list((store.root / "objects").iterdir()) == []
 
 
 class TestQueryService:
