@@ -324,6 +324,24 @@ class TestCertificationGate:
         assert manifest["requirement"] == {"beta": 2.0}
 
 
+class TestEngineHook:
+    def test_publish_run_records_provenance(self, store, table):
+        """An engine run reaches the store through ``run.publish``, and
+        the manifest carries the run's algorithm, params and seed."""
+        with Dataset(table) as ds:
+            run = ds.anonymize("anatomy", rng=1, l=4)
+            record = run.publish(store, requirement={"l": 4})
+        assert record.kind == "anatomy"
+        assert record.algorithm == "anatomy"
+        assert record.params["l"] == 4
+        assert record.seed == 1
+        assert record.n_groups == len(run.published.groups)
+        assert store.record(record.pub_id).pub_id == record.pub_id
+        reopened = PublicationStore(store.root).record(record.pub_id)
+        assert (reopened.algorithm, reopened.seed) == ("anatomy", 1)
+        assert reopened.params["l"] == 4
+
+
 class TestRunAdmission:
     @pytest.mark.parametrize("shards", [None, 2])
     def test_refused_publish_stores_nothing(self, store, table, shards):
