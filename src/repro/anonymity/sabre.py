@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.bucketize import BucketPartition
+from ..core.ectree import share_eligibility
 from ..core.model import TOLERANCE
 from ..dataset.published import GeneralizedTable
 from ..dataset.table import Table
@@ -61,26 +62,27 @@ def _bucket_spans(buckets, m: int) -> np.ndarray:
 
 
 def emd_eligibility(partition: BucketPartition, t: float, ordered: bool, m: int):
-    """Worst-case EMD of a draw vector must not exceed ``t``."""
+    """Batched :data:`~repro.core.ectree.Eligibility`: a node's worst-case
+    EMD must not exceed ``t``.
+
+    Each row's terms are summed along the row, in the order a 1-D
+    ``.sum()`` over that node's shares takes, so a threshold decision is
+    the same for a node tested alone or inside a level matrix.
+    """
     min_freq = np.asarray(partition.min_freq, dtype=float)
     weights = np.asarray(partition.weights, dtype=float)
     spans = _bucket_spans(partition.buckets, m)
+    limit = t + TOLERANCE
 
-    def eligible_equal(counts: np.ndarray, size: int) -> bool:
-        if size <= 0:
-            return False
-        worst = np.maximum(counts / size - min_freq, 0.0).sum()
-        return bool(worst <= t + TOLERANCE)
+    def equal_within_t(shares: np.ndarray) -> np.ndarray:
+        return np.maximum(shares - min_freq, 0.0).sum(axis=1) <= limit
 
-    def eligible_ordered(counts: np.ndarray, size: int) -> bool:
-        if size <= 0:
-            return False
-        shares = counts / size
-        worst = (shares * spans).sum()
-        worst += np.maximum(shares - weights, 0.0).sum()
-        return bool(worst <= t + TOLERANCE)
+    def ordered_within_t(shares: np.ndarray) -> np.ndarray:
+        worst = (shares * spans).sum(axis=1)
+        worst += np.maximum(shares - weights, 0.0).sum(axis=1)
+        return worst <= limit
 
-    return eligible_ordered if ordered else eligible_equal
+    return share_eligibility(ordered_within_t if ordered else equal_within_t)
 
 
 def sabre_partition(

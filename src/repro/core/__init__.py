@@ -3,7 +3,6 @@
 from .bucketize import BucketPartition, dp_partition, greedy_partition
 from .burel import BurelResult, burel
 from .ectree import (
-    ECNode,
     ECTree,
     balanced_halve,
     beta_eligibility,
@@ -22,7 +21,6 @@ __all__ = [
     "BucketPartition",
     "dp_partition",
     "greedy_partition",
-    "ECNode",
     "ECTree",
     "balanced_halve",
     "beta_eligibility",

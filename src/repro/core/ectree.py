@@ -14,13 +14,21 @@ Theorem 1:
 Leaves of the fully-split tree prescribe how many tuples each EC draws
 from each bucket.
 
-The eligibility test is injected as a callable so SABRE's worst-case-EMD
-condition (``repro.anonymity.sabre``) can reuse the same tree machinery.
+The tree is built one level at a time: a level's K nodes form one
+``(K, φ)`` count matrix, which is halved, and whose children are tested,
+in a few array operations.  A node's split depends only on its own
+counts, so the level pass makes exactly the splits a node-by-node
+recursion makes; the leaves are put back in that recursion's
+depth-first, left-first order by sorting their root-to-leaf paths.
+
+The eligibility test is injected as a batched callable (:data:`Eligibility`)
+so SABRE's worst-case-EMD condition (``repro.anonymity.sabre``) can reuse
+the same tree machinery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,51 +36,43 @@ import numpy as np
 from .bucketize import BucketPartition
 from .model import TOLERANCE
 
-#: An eligibility predicate: (bucket draw counts, EC size) -> bool.
-Eligibility = Callable[[np.ndarray, int], bool]
+#: An eligibility predicate over a level of nodes: (per-bucket draw
+#: counts ``(K, φ)``, node sizes ``(K,)``) -> bool ``(K,)``.  Called with
+#: one node's ``(φ,)`` counts and its size it returns a plain ``bool``.
+Eligibility = Callable[[np.ndarray, np.ndarray], "np.ndarray | bool"]
+
+
+def share_eligibility(rule: Callable[[np.ndarray], np.ndarray]) -> Eligibility:
+    """Lift a test on per-node bucket shares to the :data:`Eligibility`
+    contract.
+
+    ``rule`` maps a ``(K, φ)`` matrix of shares ``counts / size`` to a
+    bool ``(K,)`` verdict.  Empty nodes are never eligible.
+    """
+
+    def eligible(counts: np.ndarray, sizes: np.ndarray) -> "np.ndarray | bool":
+        counts = np.asarray(counts)
+        sizes = np.atleast_1d(sizes)
+        shares = np.atleast_2d(counts) / np.maximum(sizes, 1)[:, None]
+        ok = (sizes > 0) & rule(shares)
+        return ok if counts.ndim == 2 else bool(ok[0])
+
+    return eligible
 
 
 def beta_eligibility(f_min: np.ndarray) -> Eligibility:
     """Theorem 1's condition: every bucket's share is capped by
     ``f(p_{ℓ_j})``."""
     limit = np.asarray(f_min, dtype=float) + TOLERANCE
-
-    def eligible(counts: np.ndarray, size: int) -> bool:
-        if size <= 0:
-            return False
-        return bool((counts / size <= limit).all())
-
-    return eligible
-
-
-@dataclass
-class ECNode:
-    """A node of the ECTree: a vector of per-bucket draw counts."""
-
-    counts: np.ndarray
-    left: "ECNode | None" = None
-    right: "ECNode | None" = None
-
-    @property
-    def size(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def leaves(self) -> list["ECNode"]:
-        if self.is_leaf:
-            return [self]
-        return self.left.leaves() + self.right.leaves()
+    return share_eligibility(lambda shares: (shares <= limit).all(axis=1))
 
 
 @dataclass
 class ECTree:
-    """The full tree plus its leaf size specifications."""
+    """The leaf size specifications of a built ECTree, one per EC, in
+    depth-first, left-first order."""
 
-    root: ECNode
-    specs: list[np.ndarray] = field(default_factory=list)
+    specs: list[np.ndarray]
 
     @property
     def n_classes(self) -> int:
@@ -86,7 +86,7 @@ def naive_halve(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tree this systematic drift accumulates in one lineage, so buckets
     whose proportional share sits close to its eligibility cap stop the
     splitting early.  Kept as the paper-verbatim ablation; see
-    :func:`balanced_halve`.
+    :func:`balanced_halve`.  A ``(K, φ)`` input halves each row.
     """
     left = counts // 2
     return left, counts - left
@@ -113,23 +113,25 @@ def balanced_halve(
     share, and the most constrained buckets' extras go there first.
 
     Args:
-        counts: Per-bucket tuple counts of the node.
+        counts: Per-bucket tuple counts of one node ``(φ,)``, or of a
+            level of nodes ``(K, φ)``, halved row by row.
         f_min: Optional per-bucket eligibility caps used to order the
             remainder assignment (most constrained first); without it,
             buckets are processed in index order.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    floors = counts // 2
-    odd = np.nonzero(counts - 2 * floors)[0]
-    if f_min is not None:
-        caps = np.asarray(f_min, dtype=float)
-        odd = odd[np.argsort(caps[odd], kind="stable")]
-    n_right = odd.size - odd.size // 2
-    left = floors.copy()
-    right = floors.copy()
-    right[odd[:n_right]] += 1
-    left[odd[n_right:]] += 1
-    return left, right
+    # Odd buckets in cap order: of a row's k odd buckets, the first ⌈k/2⌉
+    # by running count send their extra tuple right.
+    order = (
+        np.arange(counts.shape[-1])
+        if f_min is None
+        else np.argsort(np.asarray(f_min, dtype=float), kind="stable")
+    )
+    odd = np.atleast_2d(counts % 2 == 1)[:, order]
+    k = odd.sum(axis=1, keepdims=True)
+    odd &= np.cumsum(odd, axis=1) <= k - k // 2
+    right = counts // 2 + odd[:, np.argsort(order)].reshape(counts.shape)
+    return counts - right, right
 
 
 def separating_split(
@@ -152,20 +154,53 @@ def separating_split(
     bucket needs more companion mass than the node holds).
     """
     counts = np.asarray(counts, dtype=np.int64)
-    f_min = np.asarray(f_min, dtype=float)
-    size = int(counts.sum())
-    occupied = np.nonzero(counts)[0]
-    if occupied.size < 2:
-        return None
-    target = occupied[np.argmin(f_min[occupied])]
+    rows, left, right = _separating_splits(
+        counts[None], np.asarray(f_min, dtype=float), margin
+    )
+    return (left[0], right[0]) if rows.size else None
+
+
+def _separating_splits(
+    counts: np.ndarray, f_min: np.ndarray, margin: float = 0.5
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`separating_split` of each row of ``counts (K, φ)``: the
+    indices of the rows that separate, and their left and right children.
+
+    The sizing test, which rejects most stalled nodes, runs as one array
+    pass; only rows it passes are padded, one at a time.
+    """
+    # The quarantined bucket: the first occupied one in cap order.
+    order = np.argsort(f_min, kind="stable")
+    target = order[(counts > 0)[:, order].argmax(axis=1)]
+    c_star = np.take_along_axis(counts, target[:, None], axis=1)[:, 0]
+    # Right child size making the quarantined share = margin * cap.  Both
+    # children need tuples, and the right one companions; a node holding
+    # a single occupied bucket (size == c_star) fails this test too.
+    size_right = np.ceil(c_star / (margin * f_min[target])).astype(np.int64)
+    possible = (size_right < counts.sum(axis=1)) & (size_right > c_star)
+    rows, lefts, rights = [], [], []
+    for i in np.flatnonzero(possible):
+        parts = _pad_quarantine(counts[i], int(target[i]), int(size_right[i]))
+        if parts is not None:
+            rows.append(i)
+            lefts.append(parts[0])
+            rights.append(parts[1])
+    shape = (len(rows), counts.shape[1])
+    return (
+        np.array(rows, dtype=np.intp),
+        np.array(lefts, dtype=np.int64).reshape(shape),
+        np.array(rights, dtype=np.int64).reshape(shape),
+    )
+
+
+def _pad_quarantine(
+    counts: np.ndarray, target: int, size_right: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Fill the right child around the quarantined bucket proportionally
+    from the other buckets (largest-remainder rounding to hit the size
+    exactly)."""
     c_star = int(counts[target])
-    # Right child size making the quarantined share = margin * cap.
-    size_right = int(np.ceil(c_star / (margin * f_min[target])))
-    if size_right >= size or size_right <= c_star:
-        return None
-    # Fill the remainder of the right child proportionally from the
-    # other buckets (largest-remainder rounding to hit the size exactly).
-    others = counts.astype(float).copy()
+    others = counts.astype(float)
     others[target] = 0.0
     pad_total = size_right - c_star
     raw = others * (pad_total / others.sum())
@@ -189,6 +224,20 @@ def separating_split(
     return left, right
 
 
+def _splittable(
+    eligible: Eligibility, left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """Rows whose two children are both non-empty and eligible."""
+    left_size = left.sum(axis=1)
+    right_size = right.sum(axis=1)
+    return (
+        (left_size > 0)
+        & (right_size > 0)
+        & eligible(left, left_size)
+        & eligible(right, right_size)
+    )
+
+
 def build_ectree(
     bucket_sizes: Sequence[int],
     eligible: Eligibility,
@@ -196,16 +245,21 @@ def build_ectree(
     balanced: bool = True,
     separate: bool = True,
 ) -> ECTree:
-    """Build the ECTree by recursive splitting (function ``biSplit``).
+    """Build the ECTree one level at a time (function ``biSplit``).
 
     Every node is first halved bucket-by-bucket (the paper's split); when
     both halves cannot satisfy the eligibility predicate, an optional
     *separating* split quarantines the most constrained bucket so the
-    remainder can keep splitting (see :func:`separating_split`).
+    remainder can keep splitting (see :func:`separating_split`).  A level
+    is halved and tested as one ``(K, φ)`` matrix; its stalled rows try
+    a separating split, sized in one array pass and padded one row at a
+    time where the size allows it.  The leaves come out in
+    the depth-first, left-first order of a node-by-node recursion.
 
     Args:
         bucket_sizes: ``[|B_1|, .., |B_φ|]`` from the bucketization phase.
-        eligible: The eligibility predicate both children must pass.
+        eligible: The batched eligibility predicate both children must
+            pass.
         f_min: Per-bucket caps, used by the balanced split to order
             remainder assignment and by the separating split for sizing.
             Required when ``separate`` is True.
@@ -221,50 +275,59 @@ def build_ectree(
         ValueError: If the root itself is ineligible (cannot happen for a
             partition produced by ``DPpartition``, by Lemma 2).
     """
-    root_counts = np.asarray(bucket_sizes, dtype=np.int64)
-    if root_counts.ndim != 1 or root_counts.size == 0:
+    root = np.asarray(bucket_sizes, dtype=np.int64)
+    if root.ndim != 1 or root.size == 0:
         raise ValueError("bucket_sizes must be a non-empty vector")
-    if np.any(root_counts < 0) or root_counts.sum() == 0:
+    if np.any(root < 0) or root.sum() == 0:
         raise ValueError("bucket sizes must be non-negative with positive total")
-    if separate and f_min is None:
+    if f_min is not None:
+        f_min = np.asarray(f_min, dtype=float)
+    elif separate:
         raise ValueError("separating splits require f_min")
-    root = ECNode(root_counts.copy())
-    if not eligible(root.counts, root.size):
+    if not eligible(root, int(root.sum())):
         raise ValueError(
             "the whole table violates the eligibility condition; the bucket "
             "partition does not satisfy Lemma 2"
         )
 
-    def candidates(counts: np.ndarray):
+    nodes = root[None, :]
+    # Root-to-node paths, one column per level (0 = left, 1 = right); the
+    # root's own constant column keeps the sort keys non-empty.
+    paths = np.zeros((1, 1), dtype=np.uint8)
+    leaf_counts: list[np.ndarray] = []
+    leaf_paths: list[np.ndarray] = []
+    while nodes.shape[0]:
         if balanced:
-            yield balanced_halve(counts, f_min)
+            left, right = balanced_halve(nodes, f_min)
         else:
-            yield naive_halve(counts)
+            left, right = naive_halve(nodes)
+        split = _splittable(eligible, left, right)
         if separate:
-            parts = separating_split(counts, f_min)
-            if parts is not None:
-                yield parts
-
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        for left_counts, right_counts in candidates(node.counts):
-            left_size = int(left_counts.sum())
-            right_size = int(right_counts.sum())
-            if (
-                left_size > 0
-                and right_size > 0
-                and eligible(left_counts, left_size)
-                and eligible(right_counts, right_size)
-            ):
-                node.left = ECNode(left_counts)
-                node.right = ECNode(right_counts)
-                stack.append(node.right)
-                stack.append(node.left)
-                break
-    tree = ECTree(root=root)
-    tree.specs = [leaf.counts for leaf in root.leaves()]
-    return tree
+            stalled = np.flatnonzero(~split)
+            rows, sep_left, sep_right = _separating_splits(nodes[stalled], f_min)
+            ok = _splittable(eligible, sep_left, sep_right)
+            rows = stalled[rows[ok]]
+            left[rows] = sep_left[ok]
+            right[rows] = sep_right[ok]
+            split[rows] = True
+        leaf_counts.append(nodes[~split])
+        leaf_paths.append(paths[~split])
+        # The next level: all left children, then all right children.
+        nodes = np.concatenate((left[split], right[split]))
+        paths = np.column_stack(
+            (
+                np.tile(paths[split], (2, 1)),
+                np.repeat(np.array([0, 1], dtype=np.uint8), len(nodes) // 2),
+            )
+        )
+    # Leaf paths are prefix-free, so padding them with zeros to one length
+    # and sorting them lexicographically gives depth-first, left-first order.
+    depth = max(p.shape[1] for p in leaf_paths)
+    padded = np.concatenate(
+        [np.pad(p, ((0, 0), (0, depth - p.shape[1]))) for p in leaf_paths]
+    )
+    specs = np.concatenate(leaf_counts)[np.lexsort(padded.T[::-1])]
+    return ECTree(specs=list(specs))
 
 
 def bi_split(
@@ -278,14 +341,17 @@ def bi_split(
 
     Args:
         partition: Output of the bucketization phase; provides the default
-            eligibility caps ``f(p_{ℓ_j})``.
-        eligible: Optional override of the eligibility predicate.
+            eligibility caps ``f(p_{ℓ_j})`` and the separating split's
+            sizing caps.
+        eligible: Optional override of the batched eligibility predicate
+            (SABRE passes its worst-case-EMD test).
         bucket_sizes: Actual tuple counts per bucket.
         balanced: Forwarded to :func:`build_ectree`.
         separate: Forwarded to :func:`build_ectree`.
 
     Returns:
-        One per-bucket draw-count vector per EC.
+        One per-bucket draw-count vector per EC, in the ECTree's
+        depth-first, left-first leaf order.
     """
     if bucket_sizes is None:
         raise ValueError("bucket_sizes is required (per-bucket tuple counts)")

@@ -8,24 +8,27 @@ nearest-neighbour search is too expensive, so the paper sorts each
 bucket's tuples by their Hilbert-curve value and picks, for every EC, the
 tuples whose Hilbert values are nearest to a seed tuple's.
 
-:class:`HilbertRetriever` implements that heuristic with a vectorized
-hot path.  The key observation is that every draw of ``count`` alive
-tuples nearest a seed key is a *contiguous window* of the bucket's
-alive sequence (sorted by key), so the per-tuple loop collapses to
-numpy slicing:
+:class:`HilbertRetriever` implements that heuristic without a
+per-tuple search.  The key observation is that every draw of ``count``
+alive tuples nearest a seed key is a *contiguous window* of the
+bucket's alive sequence (sorted by key):
 
 * **deterministic sweep** (``rng=None``) — the seed is always the
   minimum alive key over participating buckets, so every draw is a
   *prefix* of each bucket's alive sequence and the whole materialization
   reduces to batched slicing of the sorted-key arrays (zero per-tuple
   Python work);
-* **seeded retrieval** (``rng`` given) — the window boundary is found by
-  a two-pointer merge resolved with a binary search over the compacted
-  alive arrays, then the window is cut out in one slice.
+* **seeded retrieval** (``rng`` given) — each bucket's alive keys and
+  rows sit in two compact buffers; a draw is a prefix when the seed is
+  at or below the first alive key, else a window found by a binary
+  search and a ``count``-step two-pointer merge, and the window is
+  closed by moving the shorter side of the buffer over it.
 
 A scalar reference path (``vectorized=False``) retains the original
-union-find "alive neighbour" structure; the vectorized paths are tested
-byte-identical against it.
+union-find "alive neighbour" structure; both other paths are tested
+byte-identical against it.  Every path checks the specs first, as one
+matrix: one count per bucket, none negative, at least one tuple per EC,
+and each bucket consumed exactly.
 
 :class:`RandomRetriever` is the ablation (random draws, no locality),
 used to quantify how much the Hilbert heuristic buys.
@@ -39,6 +42,8 @@ behaviour.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -184,73 +189,6 @@ class _BucketStore:
         return taken
 
 
-def _take_window(
-    rows: np.ndarray, keys: np.ndarray, seed: int, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized ``take_nearest`` over compacted alive arrays.
-
-    The taken set of a nearest-to-seed expansion over a sorted key array
-    is always a contiguous window ``[pos - nl, pos + nr)`` around the
-    seed's insertion point; the left/right split is resolved by a binary
-    search implementing the two-pointer merge (ties go right, matching
-    the scalar path).  Returns ``(taken_rows, remaining_rows,
-    remaining_keys)``; ``taken_rows`` reproduces the scalar take order
-    exactly.
-    """
-    size = keys.shape[0]
-    if count > size:
-        raise ValueError("bucket exhausted: spec exceeds remaining tuples")
-    if seed <= keys[0]:
-        # Pure prefix take (the common case: this bucket's alive keys all
-        # sit at or above the seed) — no merge, no copy on the remainder.
-        return rows[:count], rows[count:], keys[count:]
-    pos = int(np.searchsorted(keys, seed))
-    n_left = pos
-    n_right = size - pos
-    lo = max(0, count - n_left)
-    hi = min(count, n_right)
-    # Smallest nr such that no further right element precedes the next
-    # left candidate in the merge (dist_r <= dist_l takes right).
-    while lo < hi:
-        mid = (lo + hi) // 2
-        nl = count - mid
-        if (
-            nl > 0
-            and mid < n_right
-            and seed - int(keys[pos - nl]) >= int(keys[pos + mid]) - seed
-        ):
-            lo = mid + 1
-        else:
-            hi = mid
-    nr = lo
-    nl = count - nr
-    a, b = pos - nl, pos + nr
-    window_rows = rows[a:b]
-    if nl == 0:
-        # Right-only window: scalar order is ascending position already.
-        taken = window_rows
-    elif nr == 0:
-        # Left-only window: scalar order is descending position.
-        taken = window_rows[::-1]
-    else:
-        # Mixed window — reproduce the scalar draw order: ascending
-        # distance, ties to the right side, nearest position first
-        # within a side (left candidates are visited in descending
-        # position order).
-        window_keys = keys[a:b]
-        positions = np.arange(a, b)
-        dist = np.abs(window_keys - seed)
-        side = positions < pos  # True = left of the seed's insertion point
-        tiebreak = np.where(side, -positions, positions)
-        order = np.lexsort((tiebreak, side, dist))
-        taken = window_rows[order]
-    if a == 0:
-        return taken, rows[b:], keys[b:]
-    remaining_rows = np.concatenate([rows[:a], rows[b:]])
-    remaining_keys = np.concatenate([keys[:a], keys[b:]])
-    return taken, remaining_rows, remaining_keys
-
-
 class HilbertRetriever:
     """Greedy nearest-neighbour retrieval along the Hilbert curve.
 
@@ -264,8 +202,9 @@ class HilbertRetriever:
         table: The microdata to draw from.
         partition: Bucketization of the SA domain.
         rng: Optional generator randomizing seed choice per EC.
-        vectorized: Use the batched numpy materialization (default); the
-            scalar union-find path is kept as a reference/fallback.
+        vectorized: Use the sweep or seeded buffer paths (default);
+            ``False`` selects the scalar union-find path, kept as the
+            oracle they are tested against.
         keys: Precomputed :func:`qi_space_keys` of ``table`` (shared
             preprocessing for batched engine runs).
         row_bucket: Precomputed :func:`row_buckets` map for ``table``
@@ -306,19 +245,18 @@ class HilbertRetriever:
         )
 
     def materialize(self, specs: Sequence[np.ndarray]) -> list[np.ndarray]:
-        specs = [np.asarray(s, dtype=np.int64) for s in specs]
-        self._validate(specs)
+        spec_matrix = self._validate(specs)
         if not self.vectorized:
-            return self._materialize_scalar(specs)
+            return self._materialize_scalar(spec_matrix)
         if self.rng is None:
-            return self._materialize_sweep(specs)
-        return self._materialize_seeded(specs)
+            return self._materialize_sweep(spec_matrix)
+        return self._materialize_seeded(spec_matrix)
 
     # ------------------------------------------------------------------
-    # Vectorized paths
+    # Sweep and seeded paths
     # ------------------------------------------------------------------
 
-    def _materialize_sweep(self, specs: list[np.ndarray]) -> list[np.ndarray]:
+    def _materialize_sweep(self, spec_matrix: np.ndarray) -> list[np.ndarray]:
         """Deterministic sweep as pure batched slicing.
 
         Without an rng the seed of every EC is the minimum alive key
@@ -327,7 +265,6 @@ class HilbertRetriever:
         the next ``spec[j]`` alive tuples of bucket ``j`` in key order.
         The whole materialization is a cumulative-sum split per bucket.
         """
-        spec_matrix = np.stack(specs, axis=0)  # (n_ecs, n_buckets)
         ec_sizes = spec_matrix.sum(axis=1)
         ec_base = np.concatenate([[0], np.cumsum(ec_sizes)])
         # Exclusive prefix sums: where bucket j's piece starts inside
@@ -352,40 +289,74 @@ class HilbertRetriever:
             for k in range(spec_matrix.shape[0])
         ]
 
-    def _materialize_seeded(self, specs: list[np.ndarray]) -> list[np.ndarray]:
-        """Seeded retrieval via per-draw window cuts on compacted arrays."""
-        alive_rows = list(self._sorted_rows)
-        alive_keys = list(self._sorted_keys)
-        n_buckets = len(alive_rows)
-        groups: list[np.ndarray] = []
-        for spec in specs:
-            first_keys = [
-                int(alive_keys[j][0]) if alive_keys[j].shape[0] else None
-                for j in range(n_buckets)
-            ]
-            seed = _choose_seed(first_keys, spec, self.rng)
-            parts: list[np.ndarray] = []
-            for j in range(n_buckets):
-                if spec[j] <= 0:
+    def _materialize_seeded(self, spec_matrix: np.ndarray) -> list[np.ndarray]:
+        """Seeded retrieval over per-bucket alive buffers, closed in place.
+
+        Each bucket keeps its alive keys and rows in two ``array('q')``
+        buffers, alive between ``head`` and ``end``.  A draw of ``c``
+        tuples nearest the seed is the window ``[a, z)`` of the alive
+        span: a prefix when the seed sits at or below the first alive
+        key, otherwise found by a binary search and a ``c``-step
+        two-pointer merge (ties go right, as in the scalar path), which
+        also yields the scalar draw order.  The window is then closed by
+        moving the shorter side over it — the front ``[head, a)`` right
+        by ``c`` or the tail ``[z, end)`` left by ``c`` — so no draw
+        copies a whole bucket.  Draws are short and mostly sit near the
+        front, where these per-tuple steps cost less than numpy calls.
+        """
+        keys = [array("q", k.tobytes()) for k in self._sorted_keys]
+        rows = [array("q", r.tobytes()) for r in self._sorted_rows]
+        head = [0] * len(keys)
+        end = [len(k) for k in keys]
+        out = array("q")
+        bounds = [0]
+        for row in spec_matrix:
+            spec = row.tolist()
+            part = [j for j, count in enumerate(spec) if count]
+            # The same draw as _choose_seed's choice over the first alive
+            # keys of ``part``: validation leaves every one non-empty.
+            first = part[self.rng.choice(len(part))]
+            seed = keys[first][head[first]]
+            for j in part:
+                count, bucket_keys, bucket_rows = spec[j], keys[j], rows[j]
+                h, e = head[j], end[j]
+                if seed <= bucket_keys[h]:
+                    out += bucket_rows[h : h + count]
+                    head[j] = h + count
                     continue
-                taken, alive_rows[j], alive_keys[j] = _take_window(
-                    alive_rows[j], alive_keys[j], seed, int(spec[j])
-                )
-                parts.append(taken)
-            groups.append(np.concatenate(parts))
-        return groups
+                a = z = bisect_left(bucket_keys, seed, h, e)
+                for _ in range(count):
+                    if z < e and (
+                        a == h or bucket_keys[z] - seed <= seed - bucket_keys[a - 1]
+                    ):
+                        out.append(bucket_rows[z])
+                        z += 1
+                    else:
+                        a -= 1
+                        out.append(bucket_rows[a])
+                if a - h <= e - z:
+                    bucket_keys[h + count : z] = bucket_keys[h:a]
+                    bucket_rows[h + count : z] = bucket_rows[h:a]
+                    head[j] = h + count
+                else:
+                    bucket_keys[a : e - count] = bucket_keys[z:e]
+                    bucket_rows[a : e - count] = bucket_rows[z:e]
+                    end[j] = e - count
+            bounds.append(len(out))
+        flat = np.frombuffer(out, dtype=np.int64)
+        return [flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     # ------------------------------------------------------------------
     # Scalar reference path
     # ------------------------------------------------------------------
 
-    def _materialize_scalar(self, specs: list[np.ndarray]) -> list[np.ndarray]:
+    def _materialize_scalar(self, spec_matrix: np.ndarray) -> list[np.ndarray]:
         stores = [
             _BucketStore(rows, keys)
             for rows, keys in zip(self._sorted_rows, self._sorted_keys)
         ]
         groups: list[np.ndarray] = []
-        for spec in specs:
+        for spec in spec_matrix:
             first_keys = [store.first_alive_key() for store in stores]
             seed = _choose_seed(first_keys, spec, self.rng)
             parts = [
@@ -396,19 +367,29 @@ class HilbertRetriever:
             groups.append(np.concatenate(parts))
         return groups
 
-    def _validate(self, specs: Sequence[np.ndarray]) -> None:
-        totals = np.zeros(len(self._sorted_rows), dtype=np.int64)
-        for spec in specs:
-            if spec.shape != (len(self._sorted_rows),):
-                raise ValueError("spec length must equal the bucket count")
-            if np.any(spec < 0):
-                raise ValueError("specs must be non-negative")
-            totals += spec
+    def _validate(self, specs: Sequence[np.ndarray]) -> np.ndarray:
+        """Check the specs as one ``(n_ecs, n_buckets)`` matrix, before
+        any draw, and return it."""
+        n_buckets = len(self._sorted_rows)
+        try:
+            spec_matrix = np.stack(specs).astype(np.int64, copy=False)
+        except ValueError:
+            raise ValueError(
+                "specs must be one or more vectors of one count per bucket"
+            ) from None
+        if spec_matrix.ndim != 2 or spec_matrix.shape[1] != n_buckets:
+            raise ValueError("spec length must equal the bucket count")
+        if np.any(spec_matrix < 0):
+            raise ValueError("specs must be non-negative")
+        if np.any(spec_matrix.sum(axis=1) == 0):
+            raise ValueError("every spec must draw at least one tuple")
+        totals = spec_matrix.sum(axis=0)
         if not np.array_equal(totals, self.bucket_sizes()):
             raise ValueError(
                 "specs must consume each bucket exactly "
                 f"(need {self.bucket_sizes().tolist()}, got {totals.tolist()})"
             )
+        return spec_matrix
 
 
 def _choose_seed(

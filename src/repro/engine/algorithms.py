@@ -38,7 +38,7 @@ from ..anonymity.fulldomain import (
 from ..anonymity.mondrian import mondrian_groups
 from ..anonymity.sabre import emd_eligibility, sabre_partition
 from ..core.bucketize import dp_partition, greedy_partition
-from ..core.ectree import beta_eligibility, bi_split, build_ectree
+from ..core.ectree import bi_split
 from ..core.model import BetaLikeness
 from ..core.perturb import PerturbationScheme, PerturbedTable
 from ..core.retrieve import HilbertRetriever, RandomRetriever
@@ -128,7 +128,6 @@ class BurelAlgorithm:
             raise ValueError(f"unknown retriever {retriever!r}")
         specs = bi_split(
             partition,
-            eligible=beta_eligibility(partition.f_min),
             bucket_sizes=retr.bucket_sizes(),
             balanced=ctx.params["balanced_split"],
             separate=ctx.params["separate"],
@@ -175,20 +174,19 @@ class SabreAlgorithm:
     def _allocate(self, ctx: PipelineContext) -> None:
         partition = ctx.artifacts["partition"]
         retr = _hilbert_retriever(ctx, partition)
-        tree = build_ectree(
-            retr.bucket_sizes(),
-            emd_eligibility(
+        specs = bi_split(
+            partition,
+            eligible=emd_eligibility(
                 partition,
                 ctx.params["t"],
                 ctx.params["ordered"],
                 ctx.table.sa_cardinality,
             ),
-            f_min=partition.f_min,
-            balanced=True,
+            bucket_sizes=retr.bucket_sizes(),
         )
         ctx.artifacts["retriever"] = retr
-        ctx.artifacts["specs"] = tree.specs
-        ctx.provenance["specs"] = tree.specs
+        ctx.artifacts["specs"] = specs
+        ctx.provenance["specs"] = specs
 
     def _materialize(self, ctx: PipelineContext) -> None:
         ctx.artifacts["groups"] = ctx.artifacts["retriever"].materialize(

@@ -187,6 +187,64 @@ def read_csv_rows(path: str | Path) -> list[dict[str, str]]:
         return list(csv.DictReader(handle))
 
 
+def _read_csv_records(path: str | Path) -> tuple[list[str], list[tuple[int, dict]]]:
+    """The header and ``(line number, row)`` pairs of a raw CSV file.
+
+    A row with fewer or more fields than the header is refused, naming
+    its 1-based line and the column it is missing or runs past.
+    """
+    with Path(path).open(newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        records = []
+        for fields in reader:
+            if not fields:
+                continue  # a blank line, as csv.DictReader skips it
+            if len(fields) < len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: column "
+                    f"{header[len(fields)]} is missing ({len(fields)} of "
+                    f"{len(header)} fields)"
+                )
+            if len(fields) > len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: {len(fields)} fields "
+                    f"where the header has {len(header)}, past its last "
+                    f"column {header[-1]}"
+                )
+            records.append((reader.line_num, dict(zip(header, fields))))
+    return header, records
+
+
+def _int_column(path, records: list, name: str) -> np.ndarray:
+    """Parse one numerical column, naming the first unparsable cell."""
+    values = []
+    for line, row in records:
+        try:
+            values.append(int(row[name]))
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {line}: column {name}: {row[name]!r} is not "
+                "an integer"
+            ) from None
+    return np.array(values, dtype=np.int64)
+
+
+def _coded_column(path, records: list, name: str, codes: dict, domain: str):
+    """Map one label column through ``codes``, naming the first label
+    outside it."""
+    out = []
+    for line, row in records:
+        try:
+            out.append(codes[row[name]])
+        except KeyError:
+            raise ValueError(
+                f"{path}: line {line}: column {name}: label {row[name]!r} "
+                f"is not in {domain}"
+            ) from None
+    return np.array(out, dtype=np.int64)
+
+
 def load_csv_table(
     path: str | Path,
     qi_names: list[str],
@@ -217,57 +275,58 @@ def load_csv_table(
         A :class:`repro.dataset.table.Table`.  Intended for the CLI and
         for users bringing their own data; hierarchical categorical
         attributes should be constructed programmatically instead.
-    """
-    from .dataset.schema import Attribute, Schema, SensitiveAttribute
-    from .dataset.table import Table
-    from .hierarchy import Hierarchy
 
+    Raises:
+        ValueError: On a malformed row — a missing or extra field, a
+            non-integer numerical value or, on the append path, a value
+            outside the base schema — naming the file, the row's 1-based
+            line number and the column.
+    """
     numerical = set(numerical or [])
-    rows = read_csv_rows(path)
-    if not rows:
+    header, records = _read_csv_records(path)
+    if not records:
         raise ValueError(f"{path}: empty file")
-    missing = [c for c in qi_names + [sensitive_name] if c not in rows[0]]
+    missing = [c for c in qi_names + [sensitive_name] if c not in header]
     if missing:
         raise ValueError(f"{path}: missing columns {missing}")
 
     if schema is not None:
         return _encode_against_schema(
-            path, rows, qi_names, sensitive_name, schema
+            path, records, qi_names, sensitive_name, schema
         )
 
     attributes = []
     columns: list[np.ndarray] = []
     for name in qi_names:
-        raw = [row[name] for row in rows]
         if name in numerical:
-            values = np.array([int(v) for v in raw], dtype=np.int64)
+            values = _int_column(path, records, name)
             attributes.append(
                 Attribute.numerical(name, int(values.min()), int(values.max()))
             )
             columns.append(values)
         else:
-            labels = sorted(set(raw))
+            labels = sorted({row[name] for _, row in records})
             hierarchy = Hierarchy.flat(labels, root_label=f"any-{name}")
             rank = {label: hierarchy.rank_of(label) for label in labels}
             attributes.append(Attribute.categorical(name, hierarchy))
-            columns.append(np.array([rank[v] for v in raw], dtype=np.int64))
+            columns.append(
+                np.array([rank[row[name]] for _, row in records], dtype=np.int64)
+            )
 
-    sa_labels = tuple(sorted(set(row[sensitive_name] for row in rows)))
+    sa_labels = tuple(sorted({row[sensitive_name] for _, row in records}))
     sensitive = SensitiveAttribute(sensitive_name, sa_labels)
+    sa_code = {label: code for code, label in enumerate(sa_labels)}
     sa = np.array(
-        [sensitive.code_of(row[sensitive_name]) for row in rows],
-        dtype=np.int64,
+        [sa_code[row[sensitive_name]] for _, row in records], dtype=np.int64
     )
     schema = Schema(attributes, sensitive)
     return Table(schema, np.column_stack(columns), sa)
 
 
 def _encode_against_schema(
-    path, rows: "list[dict]", qi_names, sensitive_name, schema: Schema
+    path, records: list, qi_names, sensitive_name, schema: Schema
 ):
-    """Encode CSV dict rows under an already-fixed schema (append path)."""
-    from .dataset.table import Table
-
+    """Encode CSV rows under an already-fixed schema (append path)."""
     expected = [attr.name for attr in schema.qi]
     if list(qi_names) != expected:
         raise ValueError(
@@ -280,34 +339,30 @@ def _encode_against_schema(
             f"the base schema's {schema.sensitive.name!r}"
         )
     columns: list[np.ndarray] = []
-    for j, attr in enumerate(schema.qi):
-        raw = [row[attr.name] for row in rows]
+    for attr in schema.qi:
         if attr.kind is AttributeKind.CATEGORICAL:
-            try:
-                codes = [attr.hierarchy.rank_of(v) for v in raw]
-            except KeyError as exc:
-                raise ValueError(
-                    f"{path}: column {attr.name}: label {exc.args[0]!r} "
-                    "is not in the base schema's hierarchy"
-                ) from None
-            columns.append(np.array(codes, dtype=np.int64))
-        else:
-            columns.append(np.array([int(v) for v in raw], dtype=np.int64))
-    known = set(schema.sensitive.values)
-    unknown = sorted(
-        {row[sensitive_name] for row in rows} - known
+            columns.append(
+                _coded_column(
+                    path, records, attr.name, attr.hierarchy.label_to_rank,
+                    "the base schema's hierarchy",
+                )
+            )
+            continue
+        values = _int_column(path, records, attr.name)
+        outside = np.flatnonzero((values < attr.lo) | (values > attr.hi))
+        if outside.size:
+            line, row = records[outside[0]]
+            raise ValueError(
+                f"{path}: line {line}: column {attr.name}: value "
+                f"{row[attr.name]} is outside the base schema's domain "
+                f"[{attr.lo}, {attr.hi}]"
+            )
+        columns.append(values)
+    sa = _coded_column(
+        path, records, sensitive_name,
+        {label: code for code, label in enumerate(schema.sensitive.values)},
+        "the base schema's domain",
     )
-    if unknown:
-        raise ValueError(
-            f"{path}: sensitive values {unknown} are not in the base "
-            "schema's domain"
-        )
-    sa = np.array(
-        [schema.sensitive.code_of(row[sensitive_name]) for row in rows],
-        dtype=np.int64,
-    )
-    # The Table constructor validates numerical domains, so a delta row
-    # outside the base domain fails here rather than corrupting keys.
     return Table(schema, np.column_stack(columns), sa)
 
 

@@ -68,6 +68,85 @@ class TestLoader:
             load_csv_table(empty, ["a"], "b")
 
 
+class TestMalformedRows:
+    """Each malformed row is refused naming the file, its 1-based line
+    and the column, on a fresh load and on the append path."""
+
+    GOOD = "50,40,anemia,north"
+
+    @pytest.fixture()
+    def base_schema(self, patients_csv):
+        return load_csv_table(
+            patients_csv, ["Weight", "Age"], "Disease",
+            numerical=["Weight", "Age"],
+        ).schema
+
+    def _load(self, tmp_path, bad_row, base_schema, append):
+        path = tmp_path / "delta.csv"
+        path.write_text(
+            "Weight,Age,Disease,City\n"
+            + "\n".join([self.GOOD, self.GOOD, bad_row, self.GOOD])
+            + "\n"
+        )
+        return load_csv_table(
+            path, ["Weight", "Age"], "Disease", numerical=["Weight", "Age"],
+            schema=base_schema if append else None,
+        )
+
+    @pytest.mark.parametrize("append", [False, True])
+    def test_short_row(self, tmp_path, base_schema, append):
+        with pytest.raises(
+            ValueError, match=r"delta\.csv: line 4: column City is missing"
+        ):
+            self._load(tmp_path, "50,40,anemia", base_schema, append)
+
+    @pytest.mark.parametrize("append", [False, True])
+    def test_row_missing_its_sensitive_field(self, tmp_path, base_schema, append):
+        with pytest.raises(
+            ValueError, match=r"delta\.csv: line 4: column Disease is missing"
+        ):
+            self._load(tmp_path, "50,40", base_schema, append)
+
+    @pytest.mark.parametrize("value", ["abc", "4x1"])
+    @pytest.mark.parametrize("append", [False, True])
+    def test_non_integer_numerical_field(self, tmp_path, base_schema, append, value):
+        with pytest.raises(
+            ValueError,
+            match=rf"delta\.csv: line 4: column Age: '{value}' is not an integer",
+        ):
+            self._load(tmp_path, f"50,{value},anemia,north", base_schema, append)
+
+    def test_out_of_domain_value_on_append(self, tmp_path, base_schema):
+        with pytest.raises(
+            ValueError,
+            match=r"delta\.csv: line 4: column Weight: value 99 is outside "
+            r"the base schema's domain \[50, 80\]",
+        ):
+            self._load(tmp_path, "99,40,anemia,north", base_schema, True)
+
+    def test_unknown_sensitive_label_on_append(self, tmp_path, base_schema):
+        with pytest.raises(
+            ValueError,
+            match=r"delta\.csv: line 4: column Disease: label 'Pox' is not in "
+            r"the base schema's domain",
+        ):
+            self._load(tmp_path, "50,40,Pox,north", base_schema, True)
+
+    @pytest.mark.parametrize("append", [False, True])
+    def test_extra_field(self, tmp_path, base_schema, append):
+        with pytest.raises(
+            ValueError,
+            match=r"delta\.csv: line 4: 5 fields where the header has 4, "
+            r"past its last column City",
+        ):
+            self._load(tmp_path, "50,40,anemia,north,extra", base_schema, append)
+
+    @pytest.mark.parametrize("append", [False, True])
+    def test_well_formed_rows_load(self, tmp_path, base_schema, append):
+        table = self._load(tmp_path, self.GOOD, base_schema, append)
+        assert table.n_rows == 4
+
+
 class TestCli:
     def test_generalize_end_to_end(self, patients_csv, tmp_path, capsys):
         out = tmp_path / "out.csv"
