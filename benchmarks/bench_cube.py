@@ -8,14 +8,15 @@ Baseline) two ways:
 * **bitmap** — the batched mask engine: each query ANDs λ+1 range
   bitmaps over all n rows, then one histogram pass per block of
   queries turns the masks into every estimator's histograms;
-* **cube** — precomputed prefix-sum count cubes: each query is ``2^d``
-  signed corner gathers, independent of n.
+* **cube** — precomputed prefix-sum count cubes: each query is a
+  signed sum over its box's ``2^d`` corners, taken for the whole batch
+  by one corner-index step and blocked gathers, independent of n.
 
-The ratio is bitmap serve time ÷ cube serve time.  The floor and the
-committed baseline were set against the per-query mask loop the
-histogram pass replaced (9–14×); against the pass the ratio is ≈4–6×,
-so the CI scale's 2× floor holds while the default 5× floor is
-marginal.
+The ratio is bitmap serve time ÷ cube serve time.  The floors date from
+the per-query mask loop that the histogram pass replaced (9–14×).
+Against the pass and the blocked corner gathers the ratio read 6.5–9.4×
+at the default scale (5× floor; the committed baseline is one of those
+runs) and 6.9–7.0× at the CI scale (2× floor) on a 2-vCPU host.
 
 Cube builds are timed separately (they are admission-time work, not
 serve-time work); both serve sweeps run against warm state.  Estimates

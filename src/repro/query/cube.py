@@ -6,9 +6,12 @@ mask-consuming estimators, at *serve* time.  For a publication admitted
 to the store the domain is fixed, so that work can be moved to
 *admission* time instead: this module materializes d-dimensional
 **inclusive prefix-sum cubes** over the (bucketized) QI×SA domain, after
-which any range COUNT is ``2^d`` signed corner lookups — independent of
-both the row count and the range widths (the same pre/post-order window
-trick that turns tree-axis predicates into index-range scans).
+which any range COUNT is a signed sum over the box's ``2^d`` corners —
+independent of both the row count and the range widths (the same
+pre/post-order window trick that turns tree-axis predicates into
+index-range scans).  A batch of queries costs one index step (every
+query's every corner as one ``(2^d, Q)`` flat-index matrix) plus a few
+blocked gathers, so a small batch pays a fixed handful of numpy calls.
 
 Three cube shapes cover the four publication kinds:
 
@@ -60,9 +63,12 @@ from .workload import EncodedWorkload
 #: (mirrors ``repro.query.evaluate.DEFAULT_INDEX_BUDGET``).
 DEFAULT_CUBE_BUDGET = 128 * 2**20
 
-#: Cell budget for one payload-cube gather chunk; bounds the peak size
-#: of the per-corner (queries × payload) intermediate.
-_GATHER_CELLS = 4 * 2**20
+#: Cells (corners × queries × payload cells) gathered per block by
+#: :meth:`PrefixSumCube.range_sums`.  It bounds the block's
+#: intermediate; on a 2-vCPU host, 2,000- and 10,000-query batches read
+#: as fast at 2^16 as at any size from 2^14 to 2^20, and one unblocked
+#: gather of the whole batch was about 1.5× slower.
+_GATHER_CELLS = 2**16
 
 #: Array-name prefix of cube entries riding along in a publication
 #: payload.  ``repro.io.content_digest`` skips ``aux_``-prefixed names,
@@ -99,8 +105,10 @@ class PrefixSumCube:
     raw (not prefix-summed): lookups then return one ``(card,)`` vector
     per query, e.g. the per-group counts inside a query's QI box.
 
-    Range sums over ``Q`` queries are ``2^k`` signed flat gathers,
-    vectorized across the whole batch.
+    Range sums over ``Q`` queries gather every query's ``2^k`` corners
+    at once: corner ``c`` takes the high bound on each axis whose bit is
+    set in ``c`` and counts positive when its number of low bounds is
+    even.
     """
 
     def __init__(
@@ -120,6 +128,7 @@ class PrefixSumCube:
             )
         if payload_card is not None and prefix.shape[-1] != payload_card:
             raise ValueError("payload axis does not match payload_card")
+        self._lows = np.array(self.lows, dtype=np.int64)
         #: Per-range-axis padded extents (domain size + 1).
         self._extents = np.array(prefix.shape[:k], dtype=np.int64)
         strides = np.ones(k, dtype=np.int64)
@@ -130,6 +139,11 @@ class PrefixSumCube:
             self._flat = prefix.reshape(-1, payload_card)
         else:
             self._flat = prefix.reshape(-1)
+        # The (2^k, k) corner bits, positive corners first.
+        bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+        negative = (k - bits.sum(axis=1)) % 2
+        self._corners = bits[np.argsort(negative, kind="stable")]
+        self._n_positive = int((1 << k) - negative.sum())
 
     @property
     def n_axes(self) -> int:
@@ -161,7 +175,12 @@ class PrefixSumCube:
             payload_card: Cardinality of the payload axis.
             weights: Optional ``(n,)`` per-point weights (measure-sum
                 cubes); without them the cube holds integer counts,
-                int32 whenever n fits it.
+                int32 whenever n fits it.  Weights that are integers
+                (every measure cube's: they are QI values) make every
+                cell an exact integer in float64, so
+                :meth:`range_sums` adds its corners in any order with
+                the same bits as long as ``2^k`` times the weights'
+                absolute total stays below ``2^53``.
         """
         if (payload is None) != (payload_card is None):
             raise ValueError("payload and payload_card go together")
@@ -214,16 +233,21 @@ class PrefixSumCube:
         degenerate or inverted ranges collapse to empty (both corners
         coincide, so their signed contributions cancel exactly).
         """
-        lows = np.asarray(self.lows, dtype=np.int64)
         top = self._extents - 1  # per-axis domain size
-        lo = np.clip(np.asarray(lo_bounds, dtype=np.int64) - lows, 0, top)
-        hi = np.clip(np.asarray(hi_bounds, dtype=np.int64) - lows + 1, 0, top)
-        return lo, np.maximum(hi, lo)
+        lo = np.asarray(lo_bounds, dtype=np.int64) - self._lows
+        hi = np.asarray(hi_bounds, dtype=np.int64) - self._lows + 1
+        lo = np.clip(lo, 0, top)
+        return lo, np.maximum(np.clip(hi, 0, top), lo)
 
     def range_sums(
         self, lo_bounds: np.ndarray, hi_bounds: np.ndarray
     ) -> np.ndarray:
         """Signed-corner range sums for a batch of boxes.
+
+        One matrix product gives every query's ``2^k`` flat corner
+        indices; the corners are then gathered in blocks of at most
+        ``_GATHER_CELLS`` cells, and each block's answers are its
+        positive corners' sum minus its negative corners' sum.
 
         Args:
             lo_bounds / hi_bounds: ``(Q, k)`` inclusive per-axis bounds
@@ -238,43 +262,36 @@ class PrefixSumCube:
         """
         lo, hi = self._corner_bounds(lo_bounds, hi_bounds)
         n_queries = lo.shape[0]
-        k = self.n_axes
+        corners = self._corners
+        # (2^k, Q): query q's corner c sits at lo_q + bits_c * (hi_q - lo_q).
+        index = lo @ self._strides + corners @ ((hi - lo) * self._strides).T
         if self.payload_card is None:
+            tail: tuple = ()
             dtype = (
                 np.int64 if self.prefix.dtype.kind == "i"
                 else self.prefix.dtype
             )
-            out = np.zeros(n_queries, dtype=dtype)
-            self._accumulate(out, lo, hi, slice(0, n_queries))
-            return out
-        out = np.zeros(
-            (n_queries, self.payload_card), dtype=self.prefix.dtype
+        else:
+            tail = (self.payload_card,)
+            dtype = self.prefix.dtype
+        out = np.empty((n_queries,) + tail, dtype=dtype)
+        n_corners, n_pos = corners.shape[0], self._n_positive
+        block = max(
+            1, _GATHER_CELLS // (n_corners * (self.payload_card or 1))
         )
-        chunk = max(1, _GATHER_CELLS // max(1, self.payload_card))
-        for start in range(0, n_queries, chunk):
-            stop = min(start + chunk, n_queries)
-            self._accumulate(
-                out[start:stop], lo[start:stop], hi[start:stop],
-                slice(start, stop),
+        for start in range(0, n_queries, block):
+            stop = min(start + block, n_queries)
+            cells = np.take(
+                self._flat, index[:, start:stop].ravel(), axis=0
+            ).reshape((n_corners, stop - start) + tail)
+            # Integer sums are exact in any order (int32 ones modulo
+            # 2^32, and every true count lies in [0, n]).
+            np.subtract(
+                cells[:n_pos].sum(axis=0, dtype=dtype),
+                cells[n_pos:].sum(axis=0, dtype=dtype),
+                out=out[start:stop],
             )
         return out
-
-    def _accumulate(
-        self, out: np.ndarray, lo: np.ndarray, hi: np.ndarray, _span
-    ) -> None:
-        """Add the ``2^k`` signed corner gathers for one query chunk."""
-        k = self.n_axes
-        for corner in range(1 << k):
-            popcount = bin(corner).count("1")
-            idx = np.zeros(lo.shape[0], dtype=np.int64)
-            for j in range(k):
-                sel = hi[:, j] if (corner >> j) & 1 else lo[:, j]
-                idx += sel * self._strides[j]
-            values = self._flat[idx]
-            if (k - popcount) & 1:
-                out -= values
-            else:
-                out += values
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,11 @@ back.  Three mechanisms make the path cheap under heavy traffic:
   are drained together and encoded into one
   :class:`~repro.query.workload.EncodedWorkload`, so the batched query
   engine amortizes mask construction across the batch exactly as the
-  experiment sweeps do;
+  experiment sweeps do.  A request is one :meth:`QueryService.submit`
+  query, or a workload given to :meth:`QueryService.answer` /
+  :meth:`~QueryService.answer_aggregate`, which travels as one request
+  (one queue entry, one future, one wake-up) per ``max_batch`` queries;
+  a batch takes whole requests, up to ``max_batch`` queries;
 * **artifact reuse** — loaded publications live in an LRU cache keyed
   by publication id with their answerers, and their serving artifacts
   (bitmap index / mask engine, count cubes) live in a shared
@@ -156,7 +160,8 @@ class QueryService:
             evicting a publication also releases its weakly keyed
             bitmap index.
         max_batch: Upper bound on queries drained into one encoded
-            micro-batch.
+            micro-batch; :meth:`answer` splits a larger workload into
+            requests of at most this many queries.
         artifact_cache: Optional :class:`repro.api.ArtifactCache` the
             batched query engine keys mask engines / cubes in; pass
             a facade's cache to share artifacts with it, or leave None
@@ -195,6 +200,8 @@ class QueryService:
             raise ValueError("workers must be >= 1")
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
+        if max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
         self._backend = check_backend(backend)
         self.telemetry = coerce_telemetry(telemetry)
         if artifact_cache is None:
@@ -218,10 +225,12 @@ class QueryService:
 
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        # (pub_id, agg) -> FIFO of (query, future, t0); drained in
-        # round-robin order.  ``agg`` is None for COUNT requests or
-        # ``(measure_dim, op)`` for aggregates, so a drained batch is
-        # always homogeneous and encodes into one kernel call.
+        # (pub_id, agg) -> FIFO of requests (queries, future, t0,
+        # scalar); drained in round-robin order.  ``agg`` is None for
+        # COUNT requests or ``(measure_dim, op)`` for aggregates, so a
+        # drained batch is always homogeneous and encodes into one
+        # kernel call.  ``scalar`` marks a :meth:`submit`'s one query,
+        # whose future takes a float rather than an estimate array.
         self._pending: "OrderedDict[tuple, deque]" = OrderedDict()
         self._closed = False
         self._threads = [
@@ -255,29 +264,19 @@ class QueryService:
         Requests micro-batch per ``(publication, aggregate)`` key, so
         COUNTs and each aggregate shape drain into separate batches.
         """
-        if aggregate is not None:
-            aggregate = (int(aggregate[0]), check_aggregate_op(aggregate[1]))
-        future: Future = Future()
-        t0 = time.perf_counter() if self.telemetry.enabled else 0.0
-        key = (pub_id, aggregate)
-        with self._cond:
-            if self._closed:
-                raise RuntimeError("the service is closed")
-            queue = self._pending.get(key)
-            if queue is None:
-                queue = deque()
-                self._pending[key] = queue
-            queue.append((query, future, t0))
-            self._cond.notify()
-        self.stats.count("requests")
-        return future
+        return self._enqueue(pub_id, aggregate, (query,), True)[0]
 
     def answer(
         self, pub_id: str, queries: Sequence[CountQuery]
     ) -> np.ndarray:
-        """Submit a whole workload and wait for its estimates, in order."""
-        futures = [self.submit(pub_id, query) for query in queries]
-        return np.array([future.result() for future in futures])
+        """Answer a whole workload: its float64 COUNT estimates, in order.
+
+        The workload is enqueued as one request per ``max_batch``
+        queries, which micro-batch with other requests on the same
+        publication; :meth:`stats_snapshot`'s ``requests`` counts its
+        queries.  An empty workload enqueues nothing.
+        """
+        return self._answer(pub_id, None, queries)
 
     def answer_aggregate(
         self,
@@ -286,18 +285,46 @@ class QueryService:
         measure_dim: int,
         op: str = "sum",
     ) -> np.ndarray:
-        """Submit a SUM/AVG workload and wait for its estimates, in order.
+        """Answer a SUM/AVG workload: its float64 estimates, in order.
 
-        The aggregate sibling of :meth:`answer`: estimates are
-        bit-identical to calling
+        The aggregate sibling of :meth:`answer`, enqueued the same way:
+        estimates are bit-identical to calling
         :func:`repro.query.aggregates.batch_aggregate_estimates`
         directly, however requests are batched.
         """
-        futures = [
-            self.submit(pub_id, query, aggregate=(measure_dim, op))
-            for query in queries
-        ]
-        return np.array([future.result() for future in futures])
+        return self._answer(pub_id, (measure_dim, op), queries)
+
+    def _answer(self, pub_id, aggregate, queries) -> np.ndarray:
+        queries = tuple(queries)
+        if not queries:
+            return np.empty(0, dtype=np.float64)
+        futures = self._enqueue(pub_id, aggregate, queries, False)
+        if len(futures) == 1:
+            return futures[0].result()
+        return np.concatenate([future.result() for future in futures])
+
+    def _enqueue(self, pub_id, aggregate, queries, scalar) -> list:
+        """Queue non-empty ``queries`` as requests of at most
+        ``max_batch`` queries each; returns their futures."""
+        if aggregate is not None:
+            aggregate = (int(aggregate[0]), check_aggregate_op(aggregate[1]))
+        key = (pub_id, aggregate)
+        step = self._max_batch
+        chunks = [queries[i:i + step] for i in range(0, len(queries), step)]
+        futures = [Future() for _ in chunks]
+        t0 = time.perf_counter() if self.telemetry.enabled else 0.0
+        with self._cond:
+            if self._closed:
+                raise RuntimeError("the service is closed")
+            queue = self._pending.get(key)
+            if queue is None:
+                queue = deque()
+                self._pending[key] = queue
+            for chunk, future in zip(chunks, futures):
+                queue.append((chunk, future, t0, scalar))
+            self._cond.notify(len(chunks))
+        self.stats.count("requests", len(queries))
+        return futures
 
     def load(self, pub_id: str) -> PublicationRecord:
         """Warm the cache for a publication; returns its record."""
@@ -409,19 +436,23 @@ class QueryService:
     # ------------------------------------------------------------------
 
     def _take_batch(self):
-        """Pop up to ``max_batch`` requests of the oldest pending key."""
-        for key, queue in self._pending.items():
-            batch = []
-            while queue and len(batch) < self._max_batch:
-                batch.append(queue.popleft())
-            if not queue:
-                del self._pending[key]
-            else:
-                # Round-robin fairness between hot publications.
-                self._pending.move_to_end(key)
-            if batch:
-                return key, batch
-        return None
+        """Pop whole requests of the oldest pending key, up to
+        ``max_batch`` queries; a request is never split."""
+        if not self._pending:
+            return None
+        key, queue = next(iter(self._pending.items()))
+        batch = [queue.popleft()]
+        size = len(batch[0][0])
+        while queue and size + len(queue[0][0]) <= self._max_batch:
+            request = queue.popleft()
+            batch.append(request)
+            size += len(request[0])
+        if not queue:
+            del self._pending[key]
+        else:
+            # Round-robin fairness between hot publications.
+            self._pending.move_to_end(key)
+        return key, batch
 
     def _worker(self) -> None:
         while True:
@@ -450,17 +481,17 @@ class QueryService:
         self, pub_id: str, aggregate: "tuple[int, str] | None", batch: list
     ) -> None:
         tel = self.telemetry
-        queries = tuple(item[0] for item in batch)
-        futures = [item[1] for item in batch]
+        queries = tuple(q for request in batch for q in request[0])
         if tel.enabled:
             now = time.perf_counter()
-            for item in batch:
-                tel.observe("service.queue_wait", now - item[2])
-            tel.observe("service.batch_size", float(len(batch)))
+            for request in batch:
+                for _ in request[0]:
+                    tel.observe("service.queue_wait", now - request[2])
+            tel.observe("service.batch_size", float(len(queries)))
             span = tel.span(
                 "serve.batch",
                 pub=pub_id[:12],
-                queries=len(batch),
+                queries=len(queries),
                 kind="count" if aggregate is None
                 else f"{aggregate[1]}[{aggregate[0]}]",
             )
@@ -480,25 +511,33 @@ class QueryService:
                     backend=self._backend,
                     served=served,
                 )["served"]
+                estimates = np.asarray(estimates, dtype=np.float64)
                 label = served["served"]
                 span.set("backend", label)
         except BaseException as exc:  # noqa: BLE001 - forwarded to clients
-            for future in futures:
-                if not future.cancelled():
-                    future.set_exception(exc)
+            for request in batch:
+                if not request[1].cancelled():
+                    request[1].set_exception(exc)
             return
         serving.backend = label
         stats = self.stats
         stats.count("batches")
-        stats.count("batched_queries", len(batch))
+        stats.count("batched_queries", len(queries))
         stats.count_backend(label)
         if label == "bitmap" and self._backend != "bitmap":
             stats.count("cube_fallbacks")
         if tel.enabled:
             tel.observe(f"service.serve_seconds.{label}", span.duration)
             end = time.perf_counter()
-            for item in batch:
-                tel.observe("service.request_seconds", end - item[2])
-        for future, estimate in zip(futures, estimates):
+            for request in batch:
+                for _ in request[0]:
+                    tel.observe("service.request_seconds", end - request[2])
+        start = 0
+        for chunk, future, _, scalar in batch:
+            stop = start + len(chunk)
             if not future.cancelled():
-                future.set_result(float(estimate))
+                future.set_result(
+                    float(estimates[start]) if scalar
+                    else estimates[start:stop]
+                )
+            start = stop

@@ -1,13 +1,17 @@
-"""Count-cube backend: prefix-sum correctness vs brute force, byte
-identity of cube answers against the bitmap and scalar paths on all
-four publication kinds, payload round-trips through the store,
-degenerate domains, service backend accounting, the CLI flag, and the
-SUM/AVG aggregate identities."""
+"""Count-cube backend: prefix-sum correctness vs brute force, the
+blocked corner kernel vs a per-corner reference loop (bytes, dtype and
+a memory ceiling), byte identity of cube answers against the bitmap
+and scalar paths on all four publication kinds, payload round-trips
+through the store, degenerate domains, service backend accounting, the
+CLI flag, and the SUM/AVG aggregate identities."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.anonymity import BaselinePublication, anatomize
 from repro.api import ArtifactCache
@@ -32,6 +36,7 @@ from repro.query import (
     check_backend,
     make_workload,
 )
+from repro.query import cube as cube_module
 from repro.query.cube import build_table_cube
 from repro.service import PublicationStore, QueryService
 
@@ -217,6 +222,126 @@ class TestPrefixOracle:
             columns, lows, dims,
             weights=census_small.qi[:, 0].astype(np.float64),
         )
+
+
+# ----------------------------------------------------------------------
+# Corner kernel vs the per-corner loop
+# ----------------------------------------------------------------------
+
+
+def _corner_loop_sums(cube, lo_bounds, hi_bounds):
+    """Reference range sums: for each of the ``2^k`` corners in turn,
+    one flat gather added to (or taken from) the output in its own
+    dtype."""
+    k = cube.n_axes
+    lows = np.asarray(cube.lows, dtype=np.int64)
+    extents = np.array(cube.prefix.shape[:k], dtype=np.int64)
+    strides = np.ones(k, dtype=np.int64)
+    for j in range(k - 2, -1, -1):
+        strides[j] = strides[j + 1] * extents[j + 1]
+    top = extents - 1
+    lo = np.clip(np.asarray(lo_bounds, dtype=np.int64) - lows, 0, top)
+    hi = np.clip(np.asarray(hi_bounds, dtype=np.int64) - lows + 1, 0, top)
+    hi = np.maximum(hi, lo)
+    if cube.payload_card is None:
+        flat = cube.prefix.reshape(-1)
+        dtype = np.int64 if cube.prefix.dtype.kind == "i" else cube.prefix.dtype
+        out = np.zeros(lo.shape[0], dtype=dtype)
+    else:
+        flat = cube.prefix.reshape(-1, cube.payload_card)
+        out = np.zeros((lo.shape[0], cube.payload_card), dtype=cube.prefix.dtype)
+    for corner in range(1 << k):
+        idx = np.zeros(lo.shape[0], dtype=np.int64)
+        for j in range(k):
+            idx += (hi[:, j] if (corner >> j) & 1 else lo[:, j]) * strides[j]
+        if (k - bin(corner).count("1")) & 1:
+            out -= flat[idx]
+        else:
+            out += flat[idx]
+    return out
+
+
+def _block_queries(k, payload_card):
+    """Queries per gather block of a ``k``-axis cube."""
+    return max(1, cube_module._GATHER_CELLS // ((1 << k) * (payload_card or 1)))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A generated cube and a batch of boxes.
+
+    ``k`` runs from 1 to 5 range axes with domains that need not start
+    at 0; the cube counts points (int32), counts them per payload value
+    (int32), or sums integer weights (float64), with or without a
+    payload axis.  The batch holds 0, 1 or 8 queries or one more or one
+    fewer than a gather block; its boxes mix in-domain, empty, inverted
+    and out-of-domain ranges.
+    """
+    k = draw(st.integers(min_value=1, max_value=5))
+    kind = draw(st.sampled_from(
+        ["count", "payload", "weighted", "weighted_payload"]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    dims = rng.integers(1, 7, size=k)
+    lows = rng.integers(-3, 4, size=k)
+    n = int(rng.integers(0, 300))
+    columns = [lo + rng.integers(0, d, size=n) for lo, d in zip(lows, dims)]
+    kwargs = {}
+    payload_card = None
+    if kind.endswith("payload"):
+        payload_card = int(rng.integers(1, 7))
+        kwargs = dict(
+            payload=rng.integers(0, payload_card, size=n),
+            payload_card=payload_card,
+        )
+    if kind.startswith("weighted"):
+        kwargs["weights"] = rng.integers(-500, 500, size=n).astype(np.float64)
+    cube = PrefixSumCube.build(columns, lows, dims, **kwargs)
+    block = _block_queries(k, payload_card)
+    n_queries = draw(st.sampled_from([0, 1, 8, block - 1, block + 1]))
+    lo = lows + rng.integers(-3, dims + 3, size=(n_queries, k))
+    hi = lo + rng.integers(-3, dims + 3, size=(n_queries, k))
+    return cube, lo, hi
+
+
+class TestCornerKernel:
+    @given(case=kernel_cases())
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_matches_corner_loop(self, case):
+        """Bytes, shape and dtype equal the per-corner loop's."""
+        cube, lo, hi = case
+        got = cube.range_sums(lo, hi)
+        expected = _corner_loop_sums(cube, lo, hi)
+        assert got.dtype == expected.dtype
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_memory_ceiling(self):
+        """10,000 queries on a k=5, 50-value payload cube stay under a
+        fixed peak: the blocked gather holds the (Q, 50) int32 output
+        (1.9 MiB) and the (32, Q) int64 corner index (2.4 MiB), where
+        one unblocked (32, Q, 50) gather alone would take 61 MiB."""
+        rng = np.random.default_rng(5)
+        dims, card, n_queries = (8, 6, 5, 4, 3), 50, 10_000
+        cube = PrefixSumCube.build(
+            [rng.integers(0, d, size=5_000) for d in dims], (0,) * 5, dims,
+            payload=rng.integers(0, card, size=5_000), payload_card=card,
+        )
+        lo = rng.integers(-1, dims, size=(n_queries, 5))
+        hi = lo + rng.integers(-1, 4, size=lo.shape)
+        cube.range_sums(lo[:8], hi[:8])
+        tracemalloc.start()
+        try:
+            out = cube.range_sums(lo, hi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n_queries, card)
+        assert peak < 8 * 2**20, f"range_sums peaked at {peak} bytes"
 
 
 # ----------------------------------------------------------------------

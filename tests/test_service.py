@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from repro.service import (
     QueryService,
     certify_publication,
 )
+from repro.service import server as server_module
 
 
 @pytest.fixture(scope="module")
@@ -356,7 +360,27 @@ class TestRunAdmission:
         assert list((store.root / "objects").iterdir()) == []
 
 
+def _wait_until(predicate, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out waiting"
+        time.sleep(0.001)
+
+
 class TestQueryService:
+    @pytest.fixture()
+    def served_batches(self, monkeypatch):
+        """Each answered batch's queries, in serving order."""
+        seen = []
+        real = server_module.answer_batch
+
+        def recording(table, publications, enc, *args, **kwargs):
+            seen.append(tuple(enc.queries))
+            return real(table, publications, enc, *args, **kwargs)
+
+        monkeypatch.setattr(server_module, "answer_batch", recording)
+        return seen
+
     @pytest.fixture()
     def loaded_store(self, store, publications, requirements):
         ids = {
@@ -425,6 +449,183 @@ class TestQueryService:
         assert np.array_equal(out, direct)
         assert stats["requests"] == len(workload)
         assert stats["batches"] >= 1
+
+    @pytest.mark.parametrize(
+        "kind", ["generalized", "perturbed", "anatomy", "baseline"]
+    )
+    def test_answer_matches_per_query_submit(
+        self, loaded_store, workload, kind
+    ):
+        """A workload's float64 answers carry the same bytes as its
+        queries submitted one by one, for COUNT, SUM and AVG."""
+        store, ids = loaded_store
+        pub_id = ids[kind]
+        with QueryService(store, workers=2, max_batch=32) as service:
+            for aggregate in (None, (0, "sum"), (1, "avg")):
+                if aggregate is None:
+                    served = service.answer(pub_id, workload)
+                else:
+                    served = service.answer_aggregate(
+                        pub_id, workload, *aggregate
+                    )
+                futures = [
+                    service.submit(pub_id, query, aggregate=aggregate)
+                    for query in workload
+                ]
+                one_by_one = np.array([future.result() for future in futures])
+                assert served.dtype == np.float64
+                assert served.tobytes() == one_by_one.tobytes()
+
+    def test_large_workload_served_in_max_batch_chunks(
+        self, loaded_store, table, publications, workload, served_batches
+    ):
+        store, ids = loaded_store
+        with QueryService(store, workers=1, max_batch=32) as service:
+            served = service.answer(ids["perturbed"], workload)
+            stats = service.stats_snapshot()
+        assert len(workload) == 150
+        assert [len(batch) for batch in served_batches] == [32] * 4 + [22]
+        assert sum(served_batches, ()) == tuple(workload)
+        direct = batch_estimates(
+            table, {"x": publications["perturbed"]}, workload
+        )["x"]
+        assert served.tobytes() == direct.tobytes()
+        assert stats["requests"] == stats["batched_queries"] == len(workload)
+        assert stats["batches"] == 5
+
+    def test_empty_workload_enqueues_nothing(
+        self, loaded_store, served_batches
+    ):
+        store, ids = loaded_store
+        with QueryService(store, workers=1) as service:
+            counts = service.answer(ids["baseline"], [])
+            sums = service.answer_aggregate(ids["baseline"], [], 0, "sum")
+            assert not service._pending
+            stats = service.stats_snapshot()
+        for out in (counts, sums):
+            assert out.dtype == np.float64
+            assert out.shape == (0,)
+        assert stats["requests"] == stats["batches"] == 0
+        assert served_batches == []
+
+    def test_batch_error_reaches_answer_caller(
+        self, loaded_store, workload, monkeypatch
+    ):
+        def failing(*args, **kwargs):
+            raise RuntimeError("kernel failed")
+
+        monkeypatch.setattr(server_module, "answer_batch", failing)
+        store, ids = loaded_store
+        with QueryService(store, workers=1, max_batch=32) as service:
+            with pytest.raises(RuntimeError, match="kernel failed"):
+                service.answer(ids["baseline"], workload)
+            with pytest.raises(RuntimeError, match="kernel failed"):
+                service.answer_aggregate(ids["baseline"], workload[:5], 0, "avg")
+
+    def test_answer_and_submit_share_a_batch(
+        self, loaded_store, table, publications, workload, monkeypatch
+    ):
+        """While the only serving thread is busy, a submitted query and
+        an answered workload on the same publication queue up and are
+        then drained as one batch."""
+        release = threading.Event()
+        sizes = []
+        real = server_module.answer_batch
+
+        def gated(table_, publications_, enc, *args, **kwargs):
+            sizes.append(enc.n_queries)
+            release.wait(timeout=30)
+            return real(table_, publications_, enc, *args, **kwargs)
+
+        monkeypatch.setattr(server_module, "answer_batch", gated)
+        store, ids = loaded_store
+        pub_id = ids["generalized"]
+        answered = {}
+        with QueryService(store, workers=1, max_batch=32) as service:
+            try:
+                first = service.submit(pub_id, workload[0])
+                _wait_until(lambda: sizes == [1])
+                second = service.submit(pub_id, workload[1])
+                client = threading.Thread(
+                    target=lambda: answered.setdefault(
+                        "estimates", service.answer(pub_id, workload[2:10])
+                    )
+                )
+                client.start()
+                _wait_until(
+                    lambda: service.stats_snapshot()["requests"] == 10
+                )
+            finally:
+                release.set()
+            client.join(timeout=30)
+            assert not client.is_alive()
+            singles = np.array([first.result(), second.result()])
+        assert sizes == [1, 9]
+        direct = batch_estimates(
+            table, {"x": publications["generalized"]}, workload[:10]
+        )["x"]
+        assert singles.tobytes() == direct[:2].tobytes()
+        assert answered["estimates"].tobytes() == direct[2:].tobytes()
+
+    def test_mixed_clients_stress(
+        self, loaded_store, table, publications, workload
+    ):
+        """Six clients mix workloads and single submits on two
+        publications against three serving threads (more than the
+        cores), with a short switch interval: every answer is the
+        direct kernel's, and the counters add up to the queries sent."""
+        store, ids = loaded_store
+        kinds = ("perturbed", "generalized")
+        direct = {
+            kind: batch_estimates(
+                table, {"x": publications[kind]}, workload
+            )["x"]
+            for kind in kinds
+        }
+        results, errors = [], []
+
+        def client(c: int) -> None:
+            try:
+                kind = kinds[c % 2]
+                for r in range(6):
+                    start = (c * 7 + r * 13) % 120
+                    queries = workload[start:start + 1 + (c + r) % 30]
+                    if (c + r) % 3 == 0:
+                        futures = [
+                            service.submit(ids[kind], query)
+                            for query in queries
+                        ]
+                        got = np.array(
+                            [future.result(timeout=30) for future in futures]
+                        )
+                    else:
+                        got = service.answer(ids[kind], queries)
+                    results.append((kind, start, got))
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with QueryService(store, workers=3, max_batch=16) as service:
+                threads = [
+                    threading.Thread(target=client, args=(c,))
+                    for c in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = service.stats_snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(results) == 36
+        for kind, start, got in results:
+            assert got.tobytes() == direct[kind][start:start + len(got)].tobytes()
+        sent = sum(len(got) for _, _, got in results)
+        assert stats["requests"] == stats["batched_queries"] == sent
 
     def test_lru_eviction(self, loaded_store, workload):
         store, ids = loaded_store
@@ -542,6 +743,52 @@ class TestServiceCli:
         payload = json.loads(out.read_text())
         assert payload["publication"] == pub_id
         assert len(payload["estimates"]) == 50
+
+    @pytest.mark.parametrize(
+        "algorithm, beta, served_by, sha256",
+        [
+            ("burel", "2", "ec",
+             "3acdfa15915cc986187a21ad776b83c4845f17c082aaff2fb992297d55cf52c5"),
+            ("perturb", "4", "cube",
+             "03e95c3efd7f09f029cb3a299115788b84ec54f9ca70506331d2d6dce1649e97"),
+        ],
+    )
+    def test_query_output_above_max_batch_unchanged(
+        self, data_csv, tmp_path, capsys, algorithm, beta, served_by, sha256
+    ):
+        """1,100 queries (above the default ``max_batch`` of 1,024) write
+        the JSON bytes pinned from the service's per-query hand-off, and
+        its estimates are the direct batch kernel's."""
+        from repro.cli import run
+
+        store_dir = tmp_path / "pubs"
+        assert run([
+            "publish", str(data_csv),
+            "--store", str(store_dir),
+            "--qi", "Age,Education",
+            "--numerical", "Age,Education",
+            "--sensitive", "Salary",
+            "--algorithm", algorithm,
+            "--beta", beta,
+        ]) == 0
+        pub_id = capsys.readouterr().out.split("id: ", 1)[1].split()[0]
+        out = tmp_path / "answers.json"
+        assert run([
+            "query", "--store", str(store_dir), "--id", pub_id[:12],
+            "--queries", "1100", "-o", str(out),
+        ]) == 0
+        data = out.read_bytes()
+        payload = json.loads(data)
+        assert payload["served_by"] == served_by
+        published = PublicationStore(store_dir).get(pub_id)
+        queries = make_workload(
+            published.source.schema, 1100, 2, 0.1, rng=0
+        )
+        direct = batch_estimates(
+            published.source, {"x": published}, queries
+        )["x"]
+        assert payload["estimates"] == direct.tolist()
+        assert hashlib.sha256(data).hexdigest() == sha256
 
     def test_publish_refusal_exit_code(self, data_csv, tmp_path, capsys):
         from repro.cli import run
