@@ -20,6 +20,11 @@ Identity is asserted, not assumed:
 * refreshed and cold audit reports are equal — both measure the
   *current* table's true SA distribution, so reuse never weakens the
   privacy evidence;
+* a workload whose precise answers were cached on the baseline is
+  evaluated on the refreshed run from answers the append carried
+  (the baseline's plus the delta's alone), and its precise answers and
+  error profile equal a cold evaluation over the concatenated table;
+  both evaluate times are reported;
 * both releases pass the same certification gate, and the store's
   ``versions(name)`` lineage round-trips losslessly through a fresh
   store handle (baseline → refresh, parent-before-child).
@@ -53,6 +58,7 @@ from repro.api import ArtifactCache, Dataset
 from repro.dataset.synthetic import synthetic
 from repro.dataset.table import Table
 from repro.io import publication_digest
+from repro.query.evaluate import answer_precise_batch, evaluate_workload
 from repro.service import PublicationStore
 
 ALGORITHM = "burel"
@@ -108,6 +114,8 @@ def main() -> None:
     baseline_seconds = time.perf_counter() - start
     state = ds.version_state()
     pinned = state.sa_distribution.copy()
+    workload = ds.workload(200, seed=5)
+    ds.precise(workload)  # carried across the append below
 
     delta = make_delta(table, state.plan, args.append, np.random.default_rng(3))
 
@@ -122,6 +130,10 @@ def main() -> None:
     refresh_seconds = time.perf_counter() - start
     incremental = refreshed.provenance["incremental"]
 
+    start = time.perf_counter()
+    warm_profile = refreshed.evaluate(workload)
+    warm_evaluate_seconds = time.perf_counter() - start
+
     # ---- cold path: fresh facade over the concatenated table ---------
     # Same plan, same pinned P, same seed: the exact computation the
     # refresh claims to shortcut, paid in full.
@@ -135,6 +147,17 @@ def main() -> None:
     )
     cold = cold_session.anonymize(ALGORITHM, beta=BETA, seed=SEED)
     cold_seconds = time.perf_counter() - start
+
+    cold_cache = ArtifactCache()
+    start = time.perf_counter()
+    cold_profile = evaluate_workload(
+        concat, {"run": refreshed.published}, workload, artifacts=cold_cache
+    )["run"]
+    cold_evaluate_seconds = time.perf_counter() - start
+    evaluate_equal = warm_profile == cold_profile and np.array_equal(
+        ds.precise(workload),
+        answer_precise_batch(concat, workload, artifacts=cold_cache),
+    )
 
     # ---- identity: byte-identical publication, equal audits ----------
     warm_digest = publication_digest(refreshed.published)
@@ -186,6 +209,8 @@ def main() -> None:
         "append_seconds": round(append_seconds, 6),
         "refresh_seconds": round(refresh_seconds, 6),
         "cold_seconds": round(cold_seconds, 6),
+        "warm_evaluate_seconds": round(warm_evaluate_seconds, 6),
+        "cold_evaluate_seconds": round(cold_evaluate_seconds, 6),
         "speedup": round(speedup, 2),
         "dirty_shards": dirty,
         "reused_shards": incremental["reused"],
@@ -194,6 +219,7 @@ def main() -> None:
             "publication_digest": warm_digest,
             "byte_identical": byte_identical,
             "audit_matches_cold": audit_equal,
+            "evaluate_matches_cold": evaluate_equal,
             "lineage_round_trip": lineage_ok,
         },
     }
@@ -224,6 +250,11 @@ def main() -> None:
     if not audit_equal:
         raise SystemExit(
             "identity violation: refreshed audit differs from the cold run"
+        )
+    if not evaluate_equal:
+        raise SystemExit(
+            "identity violation: the refreshed run's carried precise "
+            "answers or error profile differ from a cold evaluation"
         )
     if not lineage_ok:
         raise SystemExit(

@@ -100,8 +100,8 @@ class ArtifactCache:
             estimated total fits (the most recent entry always stays,
             even when it alone exceeds the budget).
         telemetry: Optional :class:`repro.obs.Telemetry`; when enabled,
-            builds/hits/evictions/invalidations are counted per artifact
-            kind (``cache.hit.<kind>``, ...) in its registry and the
+            builds/hits/evictions/carries are counted per artifact kind
+            (``cache.hit.<kind>``, ...) in its registry and the
             held-bytes gauge tracks insertions.  Assignable after
             construction (``cache.telemetry = tel``) — a
             :class:`~repro.api.Dataset` attaches its session telemetry
@@ -200,6 +200,13 @@ class ArtifactCache:
     def put(self, key: tuple, value: Any) -> None:
         with self._lock:
             self._put_locked(key, value)
+
+    def carry(self, key: tuple, value: Any) -> None:
+        """:meth:`put` an artifact extended to a grown table's content
+        key instead of rebuilt, counted as ``cache.carry.<kind>``."""
+        self.put(key, value)
+        if self.telemetry.enabled:
+            self.telemetry.count(f"cache.carry.{key[0]}")
 
     def _put_locked(self, key: tuple, value: Any) -> None:
         old = self._entries.pop(key, None)

@@ -327,44 +327,54 @@ class Dataset:
 
         The facade's table becomes the concatenation (old rows keep
         their indices; new rows follow).  Whole-table artifacts are
-        carried over to the new content key where extension is exact —
-        Hilbert keys concatenate (the curve depends only on the schema's
-        QI domains), SA counts add — so the grown table never recomputes
-        them from scratch; every other entry keyed by the old content
-        (mask engine, table cubes, encoded workloads, precise answers)
-        is dropped.  If a sharded baseline is being tracked, the
-        new rows are routed to shards by Hilbert-key interval
+        carried over to the new content key where extension is exact,
+        so the grown table never recomputes them from scratch: Hilbert
+        keys concatenate (the curve depends only on the schema's QI
+        domains), SA counts add, encoded workloads depend only on the
+        schema, and a cached workload's precise COUNT answers add its
+        answers over the new rows alone — precise(T ∪ Δ) = precise(T) +
+        precise(Δ), exact in int64.  Every other entry keyed by the old
+        content (mask engine, table cubes, views) is dropped.  If a
+        sharded baseline is being tracked, the new rows are routed to
+        shards by Hilbert-key interval
         (:meth:`~repro.parallel.ShardPlan.diff`) and exactly the touched
         shards' cached artifacts are evicted; :meth:`refresh` then
         recomputes only those.
 
-        Memoized sharded sessions are closed (their pools' workers hold
-        the old table); the next sharded call rebuilds them.
+        Everything carried is computed before the first mutation, so an
+        append that is refused (rows outside the schema's domains, a
+        table with another schema) or fails leaves the dataset, its
+        lineage and its cache as they were.  Memoized sharded sessions
+        are closed (their pools' workers hold the old table); the next
+        sharded call rebuilds them.
         """
         from ..core.retrieve import qi_space_keys
 
         delta = self._coerce_delta(rows)
         if delta.n_rows == 0:
             return 0
-        with self._telemetry.span("facade.append", rows=delta.n_rows):
-            return self._append(delta, qi_space_keys)
+        with self._telemetry.span("facade.append", rows=delta.n_rows) as span:
+            carried = self._append(delta, qi_space_keys)
+            span.set("carried", carried)
+        return delta.n_rows
 
     def _append(self, delta: Table, qi_space_keys) -> int:
+        """Grow the table by ``delta``; returns how many workloads'
+        precise answers were carried."""
         old = self.table
         old_key = self.content_key
-        cached_keys = self.cache.get(("hilbert_keys", old_key))
         new_table = Table.concat([old, delta])
         new_key = self.cache.table_key(new_table)
+        cached_keys = self.cache.get(("hilbert_keys", old_key))
         delta_keys = qi_space_keys(delta)
+        carried = self._carried_answers(old_key, new_key, delta)
+        carried[("sa_distribution", new_key)] = (
+            old.sa_counts() + delta.sa_counts()
+        ) / new_table.n_rows
         if cached_keys is not None:
-            self.cache.put(
-                ("hilbert_keys", new_key),
-                np.concatenate([cached_keys, delta_keys]),
+            carried[("hilbert_keys", new_key)] = np.concatenate(
+                [cached_keys, delta_keys]
             )
-        self.cache.put(
-            ("sa_distribution", new_key),
-            (old.sa_counts() + delta.sa_counts()) / new_table.n_rows,
-        )
         state = self._version
         if state is not None:
             old_keys = (
@@ -379,10 +389,38 @@ class Dataset:
         # grown table; a holder still evaluating the old content rebuilds
         # them.
         self.cache.invalidate(digest=old_key)
+        for key, value in carried.items():
+            self.cache.carry(key, value)
         self.table = new_table
         self._prepared = None
         self.close_parallel()
-        return delta.n_rows
+        return sum(key[0] == "precise" for key in carried)
+
+    def _carried_answers(
+        self, old_key: str, new_key: str, delta: Table
+    ) -> dict:
+        """The old content's encoded workloads and precise COUNT answers,
+        re-keyed to the grown table's content.
+
+        An encoding depends only on the schema, so it moves as is; a
+        workload's precise answers gain its answers over ``delta``
+        alone.  An entry evicted since :meth:`ArtifactCache.keys` listed
+        it is skipped and recomputed on next use.
+        """
+        carried = {}
+        for key in self.cache.keys():
+            kind = key[0]
+            if kind not in ("encoded", "precise") or key[1] != old_key:
+                continue
+            value = self.cache.get(key)
+            if value is None:
+                continue
+            if kind == "precise":
+                workload = self.cache.get(("encoded", old_key, key[2]), key[2])
+                value = value + answer_precise_batch(delta, workload)
+                value.setflags(write=False)
+            carried[(kind, new_key, *key[2:])] = value
+        return carried
 
     def refresh(self):
         """Re-anonymize incrementally after :meth:`append`.

@@ -18,18 +18,23 @@ shard's :class:`~repro.engine.shard.ShardPiece` with global member rows
 ``("shard_run", lineage_token, shard_index)``.  An append routes the
 new rows to shards by Hilbert-key interval
 (:meth:`repro.parallel.ShardPlan.diff`), evicts exactly the touched
-shards' artifacts, and seeds the concatenated table's Hilbert keys and
-SA distribution from the cached baseline arrays.  A refresh then
-re-anonymizes only the shards whose pieces are gone, through the
-sharded session's own shard runner
+shards' artifacts, and carries what extends exactly to the concatenated
+table's content key: its Hilbert keys and SA distribution from the
+cached baseline arrays, and each cached workload's encoding and precise
+COUNT answers, the latter plus the workload's answers over the appended
+rows alone.  A refresh then re-anonymizes only the shards whose pieces
+are gone, through the sharded session's own shard runner
 (:meth:`repro.parallel.ShardedSession.shard_pieces`) on an inline
 session over the lineage's plan and pinned ``P`` — the very code its
 cold comparator runs — and concatenates cached and recomputed pieces
 into the whole-table publication; its audit view is built from that
-publication like any other.  The lineage keeps one
-version's artifacts: an append drops the entries keyed by the old table
-content, and a refresh drops those keyed by the superseded publication
-(its audit view, which would also pin the old table).
+publication like any other.  Evaluating the refreshed run reads the
+carried precise answers, so a generalized publication's evaluation runs
+only its EC kernel and builds no mask engine over the grown table.  The
+lineage keeps one version's artifacts: an append drops the entries
+keyed by the old table content once the carried ones are re-keyed, and
+a refresh drops those keyed by the superseded publication (its audit
+view, which would also pin the old table).
 
 **The pinned-``P`` invariant.**  Shard anonymization bucketizes against
 the overall SA distribution ``P`` (see

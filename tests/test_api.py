@@ -3,18 +3,22 @@ calls, artifact-cache semantics, sweep determinism, legacy entry points."""
 
 from __future__ import annotations
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 from repro.anonymity import BaselinePublication
 from repro.api import ArtifactCache, Dataset
 from repro.audit.evaluate import audit_publications
+from repro.dataset.table import Table
 from repro.engine import run as engine_run
 from repro.io import publication_digest, table_digest
 from repro.query import make_workload
-from repro.query.evaluate import evaluate_workload
+from repro.query.evaluate import answer_precise_batch, evaluate_workload
 from repro.service import CertificationError, PublicationStore
 from repro.service.store import certify_publication
 
@@ -168,8 +172,6 @@ class TestByteIdentity:
             runs["generalized"].certify({"beta": 0.01})
 
     def test_precise_matches_direct(self, dataset, workload):
-        from repro.query.evaluate import answer_precise_batch
-
         facade = dataset.precise(workload)
         direct = answer_precise_batch(dataset.table, workload)
         assert np.array_equal(facade, direct)
@@ -413,8 +415,6 @@ def _clustered_delta(table, plan, shard_index, k, seed):
         size=k,
         p=table.sa_distribution(),
     )
-    from repro.dataset.table import Table
-
     return Table(table.schema, table.qi[pick], sa)
 
 
@@ -427,7 +427,12 @@ LINEAGES = {
 
 
 def _lineage(rows, table_seed, variant, shards, max_bytes):
-    """A sharded baseline over a small synthetic table."""
+    """A sharded baseline over a small synthetic table.
+
+    Anatomy refuses a shard in which one SA value exceeds frequency
+    1/ℓ (rows=650, table_seed=2, shards=6 has one).  Such a table has
+    no lineage: the example is rejected once the refusal is checked to
+    be that one."""
     from repro.dataset.synthetic import synthetic
 
     algorithm, params, seed = LINEAGES[variant]
@@ -436,7 +441,17 @@ def _lineage(rows, table_seed, variant, shards, max_bytes):
         correlation=0.0,
     )
     ds = Dataset(table, cache=ArtifactCache(max_bytes=max_bytes))
-    ds.anonymize(algorithm, rng=seed, shards=shards, **params)
+    try:
+        ds.anonymize(algorithm, rng=seed, shards=shards, **params)
+    except ValueError as exc:
+        if algorithm != "anatomy" or "-eligible" not in str(exc):
+            raise
+        assert any(
+            np.bincount(table.sa[shard.rows]).max() * params["l"]
+            > shard.n_rows
+            for shard in ds.sharded(1, shards).plan.shards
+        )
+        reject()
     return ds
 
 
@@ -502,6 +517,98 @@ class TestGeneratedLineages:
                 publication_digest(cold.published)
             )
             assert run.audit() == cold.audit()
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        rows=st.integers(600, 1_500),
+        table_seed=st.integers(0, 40),
+        variant=st.sampled_from(sorted(LINEAGES)),
+        shards=st.integers(2, 6),
+        max_bytes=st.sampled_from([None, 30_000]),
+        appends=st.lists(
+            st.tuples(
+                st.integers(0, 5), st.integers(1, 200), st.integers(0, 999),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @example(  # one-row deltas
+        rows=900, table_seed=1, variant="burel-seeded", shards=3,
+        max_bytes=None, appends=[(1, 1, 4, False), (2, 1, 5, False)],
+    )
+    @example(  # one row twice, then 40 rows twice each
+        rows=900, table_seed=2, variant="burel-deterministic", shards=4,
+        max_bytes=None, appends=[(0, 1, 6, True), (2, 40, 7, True)],
+    )
+    @example(
+        rows=1_500, table_seed=3, variant="burel-seeded", shards=6,
+        max_bytes=30_000, appends=[(0, 50, 1, False), (3, 20, 2, True)],
+    )
+    def test_carried_answers_equal_cold(
+        self, rows, table_seed, variant, shards, max_bytes, appends
+    ):
+        """Precise answers cached before the first append are carried
+        across every append: after each append and each refresh they are
+        the read-only int64 bytes a cold computation over a copy of the
+        grown table gives, and each refreshed run's error profile is a
+        cold evaluation's.  Two workloads and an empty one are cached at
+        once.  With an unbounded cache each workload keeps one encoding
+        and one answer array, and evaluating a BUREL run builds no mask
+        engine over the grown table; under the small budget an evicted
+        entry is recomputed on use."""
+        ds = _lineage(rows, table_seed, variant, shards, max_bytes)
+        state = ds.version_state()
+        workloads = [
+            make_workload(ds.schema, 30, 2, 0.2, rng=table_seed),
+            make_workload(ds.schema, 7, 1, 0.3, rng=table_seed + 1),
+            (),
+        ]
+        for queries in workloads:
+            ds.precise(queries)
+
+        def check_precise() -> Table:
+            grown = Table(ds.schema, ds.table.qi.copy(), ds.table.sa.copy())
+            for queries in workloads:
+                got = ds.precise(queries)
+                assert got.dtype == np.int64 and not got.flags.writeable
+                assert got.tobytes() == (
+                    answer_precise_batch(grown, queries).tobytes()
+                )
+            return grown
+
+        for shard, k, delta_seed, duplicate in appends:
+            delta = _clustered_delta(
+                ds.table, state.plan, shard % shards, k, delta_seed
+            )
+            if duplicate:
+                delta = Table.concat([delta, delta])
+            ds.append(delta)
+            check_precise()
+            run = ds.refresh()
+            grown = check_precise()
+            for queries in workloads[:2]:
+                assert run.evaluate(queries) == evaluate_workload(
+                    grown, {"run": run.published}, queries
+                )["run"]
+            answers = [
+                key for key in ds.cache.keys()
+                if key[0] in ("encoded", "precise")
+            ]
+            assert all(key[1] == ds.content_key for key in answers)
+            if max_bytes is None:
+                assert Counter(answers) == Counter(
+                    (kind, ds.content_key, tuple(queries))
+                    for kind in ("encoded", "precise")
+                    for queries in workloads
+                )
+                if variant != "anatomy":
+                    assert ("mask_engine", ds.content_key) not in ds.cache
 
     def test_evicted_clean_pieces_are_recomputed(self):
         """A byte budget below the lineage's pieces evicts clean ones;
@@ -597,12 +704,53 @@ class TestVersionedDataset:
             vds.precise(queries), Dataset(vds.table).precise(queries)
         )
 
+    @pytest.mark.parametrize(
+        "case", ["out_of_domain", "other_schema", "answering_fails"]
+    )
+    def test_failed_append_leaves_dataset_unchanged(
+        self, vds, monkeypatch, case
+    ):
+        """An append that is refused, or fails while carrying a cached
+        workload's precise answers, raises and leaves the table, its
+        content key, the lineage and the cache's entries as they were.
+        (Reading an entry refreshes its recency, so the keys compare as
+        a set.)"""
+        import repro.api.dataset as dataset_module
+        from repro.dataset.synthetic import synthetic
+
+        vds.precise(make_workload(vds.schema, 40, 2, 0.2, rng=4))
+        state = vds.version_state()
+        rows = state.plan.shards[1].rows[:40]
+        delta = (vds.table.qi[rows].copy(), vds.table.sa[rows])
+        if case == "out_of_domain":
+            delta[0][0, 0] = vds.schema.qi[0].hi + 1
+            error, match = ValueError, "outside domain"
+        elif case == "other_schema":
+            delta = synthetic(
+                40, qi_dims=3, sa_cardinality=12, seed=3, qi_domain=64
+            )
+            error, match = ValueError, "different schemas"
+        else:
+            def fail(*args, **kwargs):
+                raise RuntimeError("answering failed")
+
+            monkeypatch.setattr(dataset_module, "answer_precise_batch", fail)
+            error, match = RuntimeError, "answering failed"
+        table, key, plan = vds.table, vds.content_key, state.plan
+        n_rows, dirty = plan.n_rows, set(state.dirty)
+        keys = set(vds.cache.keys())
+        with pytest.raises(error, match=match):
+            vds.append(delta)
+        assert vds.table is table and vds.content_key == key
+        assert state.plan is plan and plan.n_rows == n_rows
+        assert state.dirty == dirty
+        assert set(vds.cache.keys()) == keys
+
     def test_rounds_keep_one_version_of_artifacts(self, vds, tmp_path):
         """Append/refresh/publish/evaluate rounds keep one version's
         artifacts: an append drops what the old content keyed, a refresh
         drops the superseded publication's view.  The refreshed
         publications and estimates are those of a cold run."""
-        from collections import Counter
 
         from repro.parallel import ShardedSession
 
@@ -748,3 +896,32 @@ class TestVersionedDataset:
         assert all(
             fresh.shard_key(i) in vds.cache for i in range(self.SHARDS)
         )
+
+
+def test_append_memory_ceiling():
+    """tracemalloc peak of an append that carries a cached 200-query
+    workload's precise answers, per row of the grown table: 20K
+    synthetic rows over 512-value QI domains, 4 shards, a 500-row delta.
+    56.0 B per row measured, as much as an append that drops the answers;
+    ceiling 64.  Answering over a rebuilt full-table engine instead of
+    the delta alone would peak near the bitmap index's 530 B per row."""
+    from repro.dataset.synthetic import synthetic
+    from repro.query.workload import QueryTuple
+
+    table = synthetic(
+        20_000, qi_dims=3, sa_cardinality=32, skew=0.8, seed=7,
+        qi_domain=512,
+    )
+    ds = Dataset(table)
+    ds.anonymize("burel", beta=2.0, rng=17, shards=4)
+    workload = ds.workload(200, seed=3)
+    ds.precise(workload)
+    delta = _clustered_delta(table, ds.version_state().plan, 1, 500, seed=9)
+    tracemalloc.start()
+    try:
+        ds.append(delta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ("precise", ds.content_key, QueryTuple(workload)) in ds.cache
+    assert peak <= 64 * ds.n_rows

@@ -611,6 +611,23 @@ class TestCacheTelemetry:
         counters = tel.metrics.snapshot()["counters"]
         assert counters["cache.miss.hilbert_keys"] == 1
 
+    def test_append_records_carried_workloads(self, table, workload):
+        """``facade.append`` records how many workloads' precise answers
+        it carried, and the cache counts each carried entry per kind."""
+        tel = Telemetry(enabled=True)
+        ds = Dataset(table, telemetry=tel)
+        ds.precise(workload)
+        ds.precise(workload[:5])
+        ds.append(table.subset(np.arange(30)))
+        (span,) = [
+            s for s in tel.tracer.spans() if s.name == "facade.append"
+        ]
+        assert span.attributes == {"rows": 30, "carried": 2}
+        counters = tel.metrics.snapshot()["counters"]
+        assert counters["cache.carry.precise"] == 2
+        assert counters["cache.carry.encoded"] == 2
+        assert counters["cache.carry.sa_distribution"] == 1
+
 
 # ----------------------------------------------------------------------
 # CLI
