@@ -2,8 +2,7 @@
 
 Runs the full custodian chain — anonymize a β sweep, audit, certify +
 publish to a store, evaluate a COUNT workload, reload and serve it —
-through one :class:`repro.api.Dataset` session (the ``bench_api``
-facade configuration), twice per repeat:
+through one :class:`repro.api.Dataset` session, twice per repeat:
 
 * **disabled** — a plain ``Dataset``: telemetry is the shared
   ``NULL_TELEMETRY`` no-op and must cost nothing;

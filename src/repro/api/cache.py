@@ -100,11 +100,12 @@ class ArtifactCache:
             estimated total fits (the most recent entry always stays,
             even when it alone exceeds the budget).
         telemetry: Optional :class:`repro.obs.Telemetry`; when enabled,
-            builds/hits/evictions/carries are counted per artifact kind
-            (``cache.hit.<kind>``, ...) in its registry and the
-            held-bytes gauge tracks insertions.  Assignable after
-            construction (``cache.telemetry = tel``) — a
-            :class:`~repro.api.Dataset` attaches its session telemetry
+            builds/hits/evictions/carries/invalidations are counted per
+            artifact kind (``cache.hit.<kind>``, ...,
+            ``cache.invalidate.<kind>`` once per dropped entry) in its
+            registry and the held-bytes gauge tracks insertions.
+            Assignable after construction (``cache.telemetry = tel``) —
+            a :class:`~repro.api.Dataset` attaches its session telemetry
             to the cache it is given.
 
     Thread-safe: the query service shares one cache across its worker
@@ -266,6 +267,8 @@ class ArtifactCache:
             for key in doomed:
                 _, nbytes = self._entries.pop(key)
                 self._nbytes -= nbytes
+                if self.telemetry.enabled:
+                    self.telemetry.count(f"cache.invalidate.{key[0]}")
             self._invalidations += len(doomed)
             return len(doomed)
 
@@ -283,6 +286,8 @@ class ArtifactCache:
                 return False
             self._nbytes -= hit[1]
             self._invalidations += 1
+            if self.telemetry.enabled:
+                self.telemetry.count(f"cache.invalidate.{key[0]}")
             return True
 
     def clear(self) -> int:

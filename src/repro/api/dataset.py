@@ -26,8 +26,7 @@ layer boundaries: the audit's view feeds the store's certification gate,
 the sweep's Hilbert encoding feeds every run, the evaluation's precise
 answers feed every publication.  Results are **byte-identical** to
 calling the layers directly (``tests/test_api.py`` asserts it for all
-four publication kinds; ``benchmarks/bench_api.py`` enforces it plus a
-≥1.5x end-to-end speedup over the cold layer-by-layer sequence).
+four publication kinds).
 """
 
 from __future__ import annotations
@@ -497,10 +496,12 @@ class Dataset:
     def sweep(
         self,
         specs: Sequence["EngineJob | tuple | Mapping[str, Any]"],
-        *,
-        workers: "int | None" = None,
     ) -> "list[AnonymizationRun]":
         """Run a declarative multi-algorithm / multi-parameter batch.
+
+        The jobs run one after another through
+        :func:`repro.engine.batch.run_many`, sharing this facade's
+        cached preprocessing.
 
         Args:
             specs: One entry per run, in order —
@@ -509,10 +510,6 @@ class Dataset:
                 mappings, or :class:`~repro.engine.batch.EngineJob`
                 records (their ``table`` index must be 0: a facade wraps
                 exactly one table).
-            workers: With ``workers > 1``, jobs run whole-table in a
-                process pool (job-level parallelism via
-                :meth:`repro.parallel.ShardedSession.sweep`); results
-                are byte-identical to the serial batch.
 
         Returns:
             One :class:`AnonymizationRun` per spec, in spec order
@@ -520,13 +517,9 @@ class Dataset:
             seeded runs consume their own generators).
         """
         jobs = [self._job(spec) for spec in specs]
-        if workers is not None and workers > 1:
-            results = self.sharded(workers, 1).sweep(jobs)
-        else:
-            results = run_many(
-                self.table, jobs, cache=self.cache,
-                telemetry=self._telemetry,
-            )
+        results = run_many(
+            self.table, jobs, cache=self.cache, telemetry=self._telemetry
+        )
         return [
             AnonymizationRun(self, result, seed=job.seed)
             for job, result in zip(jobs, results)

@@ -30,8 +30,6 @@ import numpy as np
 
 from ..api.cache import ArtifactCache
 from ..dataset.table import Table
-from ..engine.batch import PreparedTable
-from ..engine.registry import run as engine_run
 from ..engine.shard import ShardPiece, run_shard
 from ..query.evaluate import answer_precise_batch, batch_estimates
 from ..query.workload import EncodedWorkload
@@ -57,10 +55,8 @@ class ShardSource:
         self.cache = ArtifactCache()
         self._shards: dict[int, tuple] = {}
 
-    def shard(self, index: "int | None") -> "tuple[Table, np.ndarray]":
-        """``(table, keys)`` of shard ``index``; ``None``: the whole table."""
-        if index is None:
-            return self.table, self.keys
+    def shard(self, index: int) -> "tuple[Table, np.ndarray]":
+        """``(table, keys)`` of shard ``index``."""
         hit = self._shards.get(index)
         if hit is None:
             rows = self.shard_rows[index]
@@ -104,10 +100,10 @@ def traced_task(fn, enabled: bool, *args, **kwargs):
 
 
 def run_task(
-    fn, enabled: bool, shard, *args, source=None, artifacts: bool = False
+    fn, enabled: bool, shard: int, *args, source=None, artifacts: bool = False
 ):
-    """``fn(table, keys, *args)`` over one shard (``None``: the whole
-    table) of ``source``, through :func:`traced_task`.
+    """``fn(table, keys, *args)`` over shard ``shard`` of ``source``,
+    through :func:`traced_task`.
 
     Pool workers leave ``source`` unset and read their start-up state;
     the serial fallback passes the session's own :class:`ShardSource`.
@@ -202,63 +198,3 @@ def shard_evaluate(
                 table, {"shard": publication}, enc, artifacts=artifacts
             )["shard"]
         return out
-
-
-# ----------------------------------------------------------------------
-# Job-level parallelism (sweeps)
-# ----------------------------------------------------------------------
-
-
-class _DetachedSource:
-    """Placeholder for a stripped publication source (digest only)."""
-
-    def __init__(self, digest: str):
-        self.digest = digest
-
-
-def _strip_source(published):
-    """Replace the embedded source table with a digest marker, in place.
-
-    Pickling the worker's table back inside every publication would copy
-    the whole table per job; the parent re-attaches its own
-    (content-identical) table object.
-    """
-    from ..io import table_digest
-
-    published.source = _DetachedSource(table_digest(published.source))
-    return published
-
-
-def reattach_source(published, table: Table):
-    """Undo :func:`_strip_source` with the parent's table object."""
-    from ..io import table_digest
-
-    marker = published.source
-    if isinstance(marker, _DetachedSource) and marker.digest != table_digest(
-        table
-    ):
-        raise ValueError(
-            "publication was produced over a different table content"
-        )
-    published.source = table
-    return published
-
-
-def job_run(
-    table: Table, keys: np.ndarray, algorithm: str, params: dict, seed,
-    telemetry=None,
-):
-    """Run one whole-table engine job in this process (sweep mode).
-
-    Returns the full :class:`~repro.engine.pipeline.RunResult` with the
-    publication's source stripped to a digest marker.
-    """
-    prepared = PreparedTable(table)
-    prepared._keys = keys
-    result = engine_run(
-        algorithm, table, rng=seed, shared=prepared, telemetry=telemetry,
-        **params,
-    )
-    _strip_source(result.published)
-    return result
-

@@ -42,7 +42,6 @@ import numpy as np
 
 from ..api.dataset import AnonymizationRun, Dataset
 from ..dataset.table import Table
-from ..engine.batch import EngineJob
 from ..engine.pipeline import RunResult
 from ..engine.shard import ShardPiece, merge_pieces, merge_stage_seconds
 from ..metrics.errors import ErrorProfile, error_profile
@@ -201,12 +200,10 @@ class ShardedSession:
                     raise
 
     def _fan_out(
-        self, fn, tasks, span_name: str, label: str, *,
-        artifacts: bool = False, **attrs,
+        self, fn, tasks, span_name: str, *, artifacts: bool = False, **attrs
     ):
         """Run ``fn(table, keys, *args)`` per ``(shard, args)`` task.
 
-        ``shard`` is a shard index, or ``None`` for the whole table.
         Tasks run inline when ``workers == 1``, else in the pool;
         results come back in task order either way (``artifacts``: see
         :func:`repro.parallel._worker.run_task`).  Each goes through
@@ -214,9 +211,8 @@ class ShardedSession:
         telemetry is disabled; with it enabled, the task runs under a
         worker-local tracer whose span/metric buffers ship back with the
         result and are adopted in task order under the fan-out span,
-        tagged ``label=`` the shard index (whole-table tasks: their
-        position), so the session trace is identical at any worker
-        count.
+        tagged ``shard=`` the shard index, so the session trace is
+        identical at any worker count.
         """
         tel = self.telemetry
         with tel.span(span_name, **attrs, workers=self.workers) as parent:
@@ -231,35 +227,14 @@ class ShardedSession:
             else:
                 wrapped = self._pooled(fn, tel.enabled, tasks, artifacts)
             results = []
-            for i, ((shard, _), (result, payload)) in enumerate(
-                zip(tasks, wrapped)
-            ):
+            for (shard, _), (result, payload) in zip(tasks, wrapped):
                 if payload is not None:
                     tel.adopt_spans(
-                        payload["spans"], parent=parent,
-                        **{label: i if shard is None else shard},
+                        payload["spans"], parent=parent, shard=shard
                     )
                     tel.merge_metrics(payload["metrics"])
                 results.append(result)
             return results
-
-    def _map(
-        self,
-        fn,
-        per_shard_extra: "list[tuple]",
-        span_name: str = "parallel.map",
-        *,
-        artifacts: bool = False,
-    ) -> list:
-        """Run ``fn(table, keys, i, *extra_i)`` over each shard ``i``."""
-        return self._fan_out(
-            fn,
-            [(i, (i, *extra)) for i, extra in enumerate(per_shard_extra)],
-            span_name,
-            "shard",
-            artifacts=artifacts,
-            shards=self.plan.n_shards,
-        )
 
     def close(self) -> None:
         """Shut the pool down."""
@@ -302,7 +277,7 @@ class ShardedSession:
             for i in shards
         ]
         return self._fan_out(
-            _worker.shard_anonymize, tasks, "parallel.anonymize", "shard",
+            _worker.shard_anonymize, tasks, "parallel.anonymize",
             shards=len(tasks),
         )
 
@@ -359,22 +334,6 @@ class ShardedSession:
 
         return _encoded(self.table, queries, self.cache)
 
-    def precise(self, queries) -> np.ndarray:
-        """Exact COUNT answers, computed shard-parallel.
-
-        Range shards partition the rows, so per-query counts are sums of
-        integer per-shard counts — **exactly** equal to the unsharded
-        answers, not merely close.
-        """
-        enc = self._encode(queries)
-        results = self._map(
-            _worker.shard_evaluate,
-            [(None, enc)] * self.plan.n_shards,
-            span_name="parallel.precise",
-            artifacts=True,
-        )
-        return np.sum([res["precise"] for res in results], axis=0)
-
     def answers(
         self, run: ShardedRun, queries
     ) -> "tuple[np.ndarray, np.ndarray]":
@@ -386,11 +345,12 @@ class ShardedSession:
         (and the precise counts equal the unsharded answers exactly).
         """
         enc = self._encode(queries)
-        results = self._map(
+        results = self._fan_out(
             _worker.shard_evaluate,
-            [(piece, enc) for piece in run._pieces],
-            span_name="parallel.evaluate",
+            [(i, (i, piece, enc)) for i, piece in enumerate(run._pieces)],
+            "parallel.evaluate",
             artifacts=True,
+            shards=self.plan.n_shards,
         )
         precise = np.sum([res["precise"] for res in results], axis=0)
         estimates = np.zeros(enc.n_queries)
@@ -401,50 +361,3 @@ class ShardedSession:
     def evaluate(self, run: ShardedRun, queries) -> ErrorProfile:
         """Workload error of a sharded run (see :meth:`answers`)."""
         return error_profile(*self.answers(run, queries))
-
-    # ------------------------------------------------------------------
-    # Job-level parallelism (sweeps)
-    # ------------------------------------------------------------------
-
-    def sweep(self, jobs: "list[EngineJob]") -> "list[RunResult]":
-        """Run whole-table engine jobs across the pool, one per process.
-
-        The orthogonal axis to sharding: a parameter sweep has natural
-        job-level parallelism, so each job runs unsharded in a worker
-        (publications cross back with their source stripped to a digest
-        and re-attached to this session's table).  Results are in job
-        order, byte-identical to a serial :func:`repro.engine.batch.
-        run_many` of the same jobs.
-        """
-        results = self._fan_out(
-            _worker.job_run,
-            [
-                (None, (job.algorithm, dict(job.params), job.seed))
-                for job in jobs
-            ],
-            "parallel.sweep",
-            "job",
-            jobs=len(jobs),
-        )
-        for result in results:
-            _worker.reattach_source(result.published, self.table)
-        return results
-
-
-def sweep_jobs(
-    table: Table,
-    jobs: "list[EngineJob | tuple]",
-    *,
-    workers: int = 1,
-    cache=None,
-) -> "list[RunResult]":
-    """One-shot job-parallel sweep (see :meth:`ShardedSession.sweep`)."""
-    normalized = [
-        job if isinstance(job, EngineJob) else EngineJob(*job)
-        for job in jobs
-    ]
-    with ShardedSession(
-        table, workers=workers, shards=1, cache=cache
-    ) as session:
-        return session.sweep(normalized)
-

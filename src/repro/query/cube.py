@@ -382,11 +382,10 @@ class CountCube:
 
     Attributes:
         kind: The publication kind the cube was built for.
-        table: (QI..., SA) count cube over the source rows, or ``None``
-            when that domain exceeded the build budget.
+        table: (QI..., SA) count cube over the source rows — a
+            Baseline's only input — or ``None`` for other kinds.
         payload: Kind-specific (QI...) × payload count cube (perturbed
-            SA values, or Anatomy groups), or ``None`` when the kind
-            needs none / the domain exceeded the budget.
+            SA values, or Anatomy groups), or ``None`` for a Baseline.
     """
 
     kind: str
@@ -484,17 +483,18 @@ def build_count_cube(
 ) -> CountCube | None:
     """The :class:`CountCube` for a publication, or ``None``.
 
-    Each sub-cube is gated on ``budget`` independently; ``None`` means
-    nothing fit and the bitmap engine must serve this publication.
-    Generalized publications get only the table cube (their estimator is
-    already table-free; see the module docstring).  With
-    ``measure_dim`` every cell holds the sum of that QI column over its
-    points instead of their count — the cubes behind SUM/AVG.
+    A publication gets only the sub-cube its estimator reads (see
+    :meth:`CountCube.histograms`): a Baseline the table cube, perturbed
+    and Anatomy publications their payload cube.  ``None`` means that
+    sub-cube exceeds ``budget`` and the bitmap engine must serve, or the
+    publication is generalized, whose EC kernel reads no cube (see the
+    module docstring).  With ``measure_dim`` every cell holds the sum
+    of that QI column over its points instead of their count — the
+    cubes behind SUM/AVG.
     """
     table = published.source
     weights = _measure_weights(table, measure_dim)
-    table_cube = build_table_cube(table, budget, measure_dim=measure_dim)
-    payload_cube = None
+    table_cube = payload_cube = None
     if isinstance(published, PerturbedTable):
         kind = "perturbed"
         payload_cube = build_payload_cube(
@@ -508,9 +508,10 @@ def build_count_cube(
             weights=weights,
         )
     elif isinstance(published, GeneralizedTable):
-        kind = "generalized"
+        return None
     elif isinstance(published, BaselinePublication):
         kind = "baseline"
+        table_cube = build_table_cube(table, budget, measure_dim=measure_dim)
     else:
         raise TypeError(
             f"no cube builder for publication type {type(published).__name__!r}"

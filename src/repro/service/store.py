@@ -374,8 +374,10 @@ class PublicationStore:
         names, which :func:`repro.io.content_digest` excludes — so the
         publication id is identical with or without the cube, and
         :meth:`get` hands the serving layer a cube-equipped object.
-        Publications whose domain exceeds the cube budget simply admit
-        without one (the bitmap engine serves them).
+        The cube holds only the sub-cube the publication's estimator
+        reads; a generalized publication (served by its EC kernel) and
+        one whose sub-cube exceeds the cube budget (served by the bitmap
+        engine) admit without one.
         """
         if cache is None:
             cache = self.cache

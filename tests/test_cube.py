@@ -525,6 +525,46 @@ class TestStoreRoundTrip:
             assert a.payload_card == b.payload_card
         assert restored.kind == original.kind
 
+    @pytest.mark.parametrize("kind", sorted(REQUIREMENTS))
+    def test_payload_holds_only_the_sub_cube_read(
+        self, tmp_path, census_small, publications, workload, kind
+    ):
+        """A Baseline persists only its table cube, perturbed and
+        Anatomy publications only their payload cube, a generalized one
+        none; the reload answers as the bitmap engine does under every
+        backend, from its cube where it has one."""
+        reads = {"baseline": "table", "perturbed": "payload",
+                 "anatomy": "payload", "generalized": None}
+        store = PublicationStore(tmp_path)
+        record = store.put(
+            _fresh(publications[kind]), requirement=REQUIREMENTS[kind]
+        )
+        payload = tmp_path / "objects" / record.pub_id / "payload.npz"
+        with np.load(payload) as archive:
+            cubes = [
+                name.removeprefix(cube_module.CUBE_PAYLOAD_PREFIX)
+                for name in archive.files
+                if name.startswith(cube_module.CUBE_PAYLOAD_PREFIX)
+            ]
+        assert cubes == ([] if reads[kind] is None else [reads[kind]])
+        expected = batch_estimates(
+            census_small, {kind: _fresh(publications[kind])}, workload,
+            backend="bitmap",
+        )[kind]
+        for backend in ("auto", "cube", "bitmap"):
+            served = {}
+            got = batch_estimates(
+                census_small, {kind: store.get(record.pub_id)}, workload,
+                backend=backend, served=served,
+            )[kind]
+            assert np.array_equal(got, expected), backend
+            if kind == "generalized":
+                assert served[kind] == "ec"
+            else:
+                assert served[kind] == (
+                    "bitmap" if backend == "bitmap" else "cube"
+                )
+
     def test_cube_does_not_change_pub_id(self, tmp_path, publications):
         published = publications["anatomy"]
         with_cube = PublicationStore(tmp_path / "with").put(

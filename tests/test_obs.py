@@ -391,19 +391,6 @@ class TestAdoption:
             snapshots[workers] = tel.metrics.snapshot()["counters"]
         assert snapshots[1] == snapshots[2]
 
-    def test_sweep_adopts_job_spans(self, table):
-        tel = Telemetry(enabled=True)
-        with Dataset(table, telemetry=tel) as ds:
-            ds.sweep(
-                [("burel", {"beta": b}) for b in (1.5, 2.0, 3.0)],
-                workers=2,
-            )
-        tree = _tree_shape(tel.span_tree())
-        sweep_roots = [t for t in tree if t[0] == "parallel.sweep"]
-        assert len(sweep_roots) == 1
-        jobs = [dict(attrs) for _, attrs, _ in sweep_roots[0][2]]
-        assert [j["job"] for j in jobs] == [0, 1, 2]
-
 
 # ----------------------------------------------------------------------
 # Engine spans
@@ -627,6 +614,32 @@ class TestCacheTelemetry:
         assert counters["cache.carry.precise"] == 2
         assert counters["cache.carry.encoded"] == 2
         assert counters["cache.carry.sa_distribution"] == 1
+
+    def test_append_counts_invalidations_per_kind(self, table):
+        """An append counts every entry it drops as
+        ``cache.invalidate.<kind>``: the dirty shard's piece once, and
+        the per-kind counts sum to the cache's own invalidation count."""
+        tel = Telemetry(enabled=True)
+
+        def invalidated():
+            counters = tel.metrics.snapshot()["counters"]
+            return {
+                name: n for name, n in counters.items()
+                if name.startswith("cache.invalidate.")
+            }
+
+        with Dataset(table, telemetry=tel) as ds:
+            ds.anonymize("burel", beta=2.0, shards=3)
+            first = next(iter(ds.version_state().plan))
+            counts, total = invalidated(), ds.cache.stats()["invalidations"]
+            ds.append(table.subset(first.rows[:20]))
+            assert ds.version_state().dirty == {0}
+            dropped = ds.cache.stats()["invalidations"] - total
+        delta = {
+            name: n - counts.get(name, 0) for name, n in invalidated().items()
+        }
+        assert delta["cache.invalidate.shard_run"] == 1
+        assert sum(delta.values()) == dropped > 1
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.dataset import (
     synthetic_schema,
     zipf_distribution,
 )
-from repro.engine.batch import EngineJob, PreparedTable, run_many
+from repro.engine.batch import PreparedTable
 from repro.engine.shard import merge_pieces
 from repro.io import publication_digest, table_digest
 from repro.parallel import (
@@ -35,7 +35,6 @@ from repro.parallel import (
     ShardedRun,
     ShardedSession,
     _worker,
-    sweep_jobs,
 )
 from repro.query.evaluate import TableMaskEngine, _encoded
 from repro.query.workload import make_workload
@@ -343,11 +342,14 @@ class TestMergeIdentity:
 
     def test_precise_counts_sum_exactly(self, table, dataset, workload):
         unsharded = dataset.precise(workload)
-        serial = _sharded(table, 1, 3).precise(workload)
+        serial_session = _sharded(table, 1, 3)
+        serial_run = serial_session.anonymize("burel", beta=2.0)
+        serial = serial_session.answers(serial_run, workload)[0]
         np.testing.assert_array_equal(serial, unsharded)
         with _sharded(table, 2, 4) as session:
+            run = session.anonymize("burel", beta=2.0)
             np.testing.assert_array_equal(
-                session.precise(workload), unsharded
+                session.answers(run, workload)[0], unsharded
             )
 
     def test_evaluate_worker_count_invariant(self, table, workload):
@@ -379,39 +381,6 @@ class TestMergeIdentity:
         assert len(records) == 3
         assert sum(r["n_rows"] for r in records) == table.n_rows
         assert all("stage_seconds" in r for r in records)
-
-
-# ----------------------------------------------------------------------
-# Job-level parallel sweeps
-# ----------------------------------------------------------------------
-
-
-class TestParallelSweep:
-    def test_digest_equality_vs_serial(self, table):
-        jobs = [
-            EngineJob("burel", {"beta": 1.5}),
-            EngineJob("burel", {"beta": 2.0}),
-            EngineJob("anatomy", {"l": 3}, seed=4),
-            EngineJob("perturb", {"beta": 2.0}, seed=5),
-        ]
-        serial = run_many(table, jobs)
-        parallel = sweep_jobs(table, jobs, workers=2)
-        for a, b in zip(serial, parallel):
-            assert publication_digest(a.published) == (
-                publication_digest(b.published)
-            )
-        # sources re-attach to the caller's table object
-        assert all(r.published.source is table for r in parallel)
-
-    def test_facade_sweep_workers(self, dataset):
-        specs = [("burel", {"beta": b}) for b in (1.5, 2.0)]
-        serial = dataset.sweep(specs)
-        parallel = dataset.sweep(specs, workers=2)
-        for a, b in zip(serial, parallel):
-            assert publication_digest(a.published) == (
-                publication_digest(b.published)
-            )
-        assert dataset.close_parallel() >= 1
 
 
 # ----------------------------------------------------------------------
@@ -584,7 +553,6 @@ class TestPoolTransport:
         script = (
             "from multiprocessing import resource_tracker\n"
             "from repro.dataset import synthetic\n"
-            "from repro.engine.batch import EngineJob\n"
             "from repro.parallel import ShardedSession\n"
             "from repro.query import make_workload\n"
             "table = synthetic(2_000, qi_dims=3, sa_cardinality=8,\n"
@@ -593,7 +561,6 @@ class TestPoolTransport:
             "with ShardedSession(table, workers=2, shards=2) as session:\n"
             "    run = session.anonymize('burel', beta=2.0)\n"
             "    session.evaluate(run, queries)\n"
-            "    session.sweep([EngineJob('burel', {'beta': 2.0})])\n"
             "print(resource_tracker._resource_tracker._pid)\n"
         )
         env = {
@@ -616,6 +583,12 @@ def _die(table, keys, index):
     os._exit(1)
 
 
+def _fan_out(session, fn, *args):
+    """``fn(table, keys, i, *args)`` over every shard ``i`` of a session."""
+    tasks = [(i, (i, *args)) for i in range(session.plan.n_shards)]
+    return session._fan_out(fn, tasks, "parallel.test")
+
+
 def _die_once(table, keys, index, marker):
     """Kill this worker unless another task already made ``marker``."""
     try:
@@ -633,16 +606,16 @@ class TestBrokenPool:
     def test_die_once_returns_serial_results(self, census, tmp_path):
         marker = str(tmp_path / "died")
         with _sharded(census, 2, 3) as session:
-            pooled = session._map(_die_once, [(marker,)] * 3)
+            pooled = _fan_out(session, _die_once, marker)
         assert os.path.exists(marker)
-        serial = _sharded(census, 1, 3)._map(_die_once, [(marker,)] * 3)
+        serial = _fan_out(_sharded(census, 1, 3), _die_once, marker)
         assert pooled == serial
 
     def test_session_recovers_after_a_second_break(self, census):
         expected = _sharded(census, 1, 3).anonymize("burel", beta=2.0)
         with _sharded(census, 2, 3) as session:
             with pytest.raises(BrokenProcessPool):
-                session._map(_die, [()] * 3)
+                _fan_out(session, _die)
             run = session.anonymize("burel", beta=2.0)
         assert publication_digest(run.published) == (
             publication_digest(expected.published)

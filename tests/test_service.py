@@ -7,6 +7,7 @@ import json
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,68 @@ class TestConcurrentAdmission:
             assert len(store.get(records[0].pub_id)) == len(published)
             assert store.ids() == [records[0].pub_id]
             assert not list((tmp_path / f"store{trial}").rglob("*.tmp"))
+
+
+@pytest.fixture(scope="module")
+def census_30k():
+    from repro.dataset import CENSUS_QI_ORDER, make_census
+
+    return Dataset(make_census(30_000, seed=7, qi_names=CENSUS_QI_ORDER[:3]))
+
+
+def _put_peak(run, root, requirement) -> int:
+    """tracemalloc peak of admitting a run's publication, its audit view
+    warmed by a certification first."""
+    run.certify(requirement)
+    store = PublicationStore(root, cache=run.dataset.cache)
+    tracemalloc.start()
+    try:
+        store.put(run.published, requirement=requirement)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestStorePutMemory:
+    """Peaks of ``PublicationStore.put`` on 30K census rows over Age,
+    Gender and Education, whose (QI..., SA) table cube fits the cube
+    budget.  Measured on Python 3.11 with numpy 2.4."""
+
+    @pytest.mark.parametrize(
+        "algorithm, params, requirement",
+        [
+            ("burel", {"beta": 3.0}, {"beta": 3.0}),
+            ("anatomy", {"rng": 1, "l": 4}, {"l": 4}),
+        ],
+    )
+    def test_cubeless_put_below_40_bytes_per_row(
+        self, census_30k, tmp_path, algorithm, params, requirement
+    ):
+        """A BUREL publication's EC kernel reads no cube, and this
+        Anatomy group cube is over budget, so neither admission builds
+        one: 0.70 MiB (24.5 B per row) measured for each; ceiling 40 B
+        per row.  Building the table cube that neither reads peaked at
+        3.67 MiB (128 B per row)."""
+        run = census_30k.anonymize(algorithm, **params)
+        peak = _put_peak(run, tmp_path, requirement)
+        assert run.published.__dict__["_count_cube"] is None
+        assert peak <= 40 * census_30k.n_rows
+
+    def test_perturbed_put_below_three_payload_cubes(
+        self, census_30k, tmp_path
+    ):
+        """A perturbed admission builds only its (QI...) x SA-value
+        payload cube, whose int64 ``bincount`` is twice the int32 cube
+        and lives beside its cast: three cubes plus the per-row index
+        arrays.  3.39 MiB measured against a 0.82 MiB cube; ceiling
+        three cubes plus 48 B per row.  Building the unread table cube
+        as well peaked at 4.23 MiB."""
+        run = census_30k.anonymize("perturb", rng=29, beta=4.0)
+        peak = _put_peak(run, tmp_path, {"beta": 4.0})
+        cube = run.published.__dict__["_count_cube"]
+        assert cube.table is None
+        assert peak <= 3 * cube.payload.nbytes + 48 * census_30k.n_rows
 
 
 class TestCertificationGate:
